@@ -2,7 +2,8 @@
 root data, PBW coordinates, the dual canonical basis, flag minors, quiver
 combinatorics, the named check suites and the multiplicativity scan.
 
-Exit codes: 0 success / no violations, 1 violations, 2 usage error.
+Exit codes: 0 success / no violations, 1 violations, 2 usage error,
+3 internal error.
 All numeric output is exact scalar text; JSON is emitted with sorted keys
 so output is byte-deterministic for fixed flags.
 """
@@ -222,6 +223,17 @@ def _parse_word_arg(text):
     return tuple(int(t) for t in text.split(","))
 
 
+def _height_arg(text):
+    try:
+        h = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("height must be an integer, got %r"
+                                         % text) from None
+    if h < 1:
+        raise argparse.ArgumentTypeError("height must be >= 1, got %d" % h)
+    return h
+
+
 def _resolve(args):
     datum = CartanDatum(args.type)
     if getattr(args, "word", None):
@@ -267,6 +279,9 @@ def _cmd_pbw(args):
 def _cmd_basis(args):
     datum, w = _resolve(args)
     mu = _parse_word_arg(args.weight)
+    if len(mu) != datum.rank:
+        raise ValueError("weight %s needs %d entries for %s"
+                         % (args.weight, datum.rank, datum.label))
     basis = canonical.dual_canonical_basis(mu, w)
     elements = [canonical.basis_element_json(w, n)
                 for n in pbw.data_of_weight(w, mu)]
@@ -386,13 +401,13 @@ def build_parser():
     sp.add_argument("suite", choices=sorted(checks.SUITES))
     common(sp)
     sp.add_argument("--orientation", default=None)
-    sp.add_argument("--height", type=int, default=3)
+    sp.add_argument("--height", type=_height_arg, default=3)
     sp.set_defaults(func=_cmd_check)
 
     sp = sub.add_parser("mult-scan", help="multiplicativity scan")
     common(sp, word=False)
     sp.add_argument("--orientation", required=True)
-    sp.add_argument("--height", type=int, default=4)
+    sp.add_argument("--height", type=_height_arg, default=4)
     sp.set_defaults(func=_cmd_mult_scan)
 
     return p
@@ -406,9 +421,13 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, NotReduced, ValueError) as exc:
+    except (ParseError, NotReduced, ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except Exception as exc:
+        sys.stderr.write("internal error: %s: %s\n"
+                         % (type(exc).__name__, exc))
+        return 3
 
 
 if __name__ == "__main__":

@@ -409,6 +409,11 @@ def unit_datum(N, k):
 _STRAIGHTEN_CACHE = conventions.register_cache({})
 
 
+class StraighteningError(ArithmeticError):
+    """Raised when a straightening relation fails to cancel its leading
+    datum."""
+
+
 def straighten_commutator(w, k, kp):
     """The lower-order part of the straightening of E_{beta_k} E_{beta_k'}
     against its reversal (k < k').
@@ -430,7 +435,7 @@ def straighten_commutator(w, k, kp):
     lead_f = forward.coeffs.get(lead, RatScalar.zero())
     lead_b = backward.coeffs.get(lead, RatScalar.zero())
     if lead_b.is_zero():
-        raise ArithmeticError("straightening has no leading term")
+        raise StraighteningError("straightening has no leading term")
     ratio = lead_f / lead_b
     coeffs = {}
     for m in set(forward.coeffs) | set(backward.coeffs):
@@ -438,7 +443,9 @@ def straighten_commutator(w, k, kp):
              - ratio * backward.coeffs.get(m, RatScalar.zero()))
         if not c.is_zero():
             coeffs[m] = c
-    assert lead not in coeffs
+    if lead in coeffs:
+        raise StraighteningError("leading datum %s survives straightening"
+                                 % render_datum(lead))
     out = PBWExpansion(w, coeffs)
     _STRAIGHTEN_CACHE[key] = out
     return out

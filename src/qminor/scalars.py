@@ -7,10 +7,15 @@ equality is structural.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 class PoleAtZero(ArithmeticError):
     """Raised when evaluating at q = 0 a scalar with a pole there."""
+
+
+class InexactDivision(ArithmeticError):
+    """Raised when a Laurent polynomial division that must be exact is not."""
 
 
 class LaurentPoly:
@@ -172,6 +177,9 @@ Q = LaurentPoly({1: 1})
 
 
 # -- gcd machinery ----------------------------------------------------
+#
+# Only Python ints: a primitive polynomial remainder sequence over dense
+# coefficient lists (index = exponent), with a content-only fast path.
 
 def _to_dense(p):
     """Laurent -> (shift, dense list of int coeffs from exponent 0)."""
@@ -183,31 +191,32 @@ def _to_dense(p):
     return lo, dense
 
 
-def _content(dense):
-    from math import gcd
-    g = 0
-    for c in dense:
-        g = gcd(g, c)
-    return g
+def _primitive(dense):
+    """dense divided by its (positive) content."""
+    c = gcd(*dense)
+    return dense if c == 1 else [x // c for x in dense]
 
 
-def _poly_mod(a, b):
-    """Remainder of a by b over Q, dense Fraction lists (b nonzero)."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[i + shift] -= factor * c
-        a.pop()
+def _pseudo_rem(a, b):
+    """A pseudo-remainder of a by b (dense, len(a) >= len(b)): an integer
+    multiple of the remainder over Q, with its factors of q removed."""
+    a = list(a)
+    n = len(b) - 1
+    lead = b[-1]
+    low = b[:-1]
+    while len(a) > n:
+        c = a.pop()
+        if c:
+            shift = len(a) - n
+            a = [lead * x for x in a]
+            for i, bc in enumerate(low, shift):
+                a[i] -= c * bc
     while a and a[-1] == 0:
         a.pop()
-    return a
+    k = 0
+    while k < len(a) and a[k] == 0:
+        k += 1
+    return a[k:]
 
 
 def laurent_gcd(a, b):
@@ -217,23 +226,26 @@ def laurent_gcd(a, b):
         return _normalize_poly(b)
     if b.is_zero():
         return _normalize_poly(a)
-    _, da = _to_dense(a)
-    _, db = _to_dense(b)
-    ca, cb = _content(da), _content(db)
-    from math import gcd as igcd
-    content = igcd(ca, cb)
-    x, y = [Fraction(c) for c in da], [Fraction(c) for c in db]
-    while any(y):
-        x, y = y, _poly_mod(x, y)
-    # clear denominators, make primitive
-    den_lcm = 1
-    for c in x:
-        den_lcm = den_lcm * c.denominator // igcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in x]
-    cont = _content(ints)
-    ints = [c // cont for c in ints]
-    g = LaurentPoly({e: c * content for e, c in enumerate(ints)})
-    return _normalize_poly(g)
+    if a.is_monomial() or b.is_monomial():
+        return LaurentPoly({0: gcd(*a.coeffs.values(), *b.coeffs.values())})
+    _, x = _to_dense(a)
+    _, y = _to_dense(b)
+    content = gcd(gcd(*x), gcd(*y))
+    x, y = _primitive(x), _primitive(y)
+    if len(x) < len(y):
+        x, y = y, x
+    # Both have a nonzero constant term, so q divides neither the gcd nor
+    # any y below, and the remainders may drop their factors of q.
+    while len(y) > 1:
+        r = _pseudo_rem(x, y)
+        if not r:
+            break
+        x, y = y, _primitive(r)
+    if len(y) == 1:
+        return LaurentPoly({0: content})
+    if y[0] < 0:
+        content = -content
+    return LaurentPoly({e: content * c for e, c in enumerate(y)})
 
 
 def _normalize_poly(p):
@@ -247,7 +259,8 @@ def _normalize_poly(p):
 
 
 def _exact_divide(a, g):
-    """Divide Laurent a by Laurent g, assuming exactness."""
+    """Divide Laurent a by Laurent g; raises InexactDivision unless g
+    divides a in Z[q, q^-1]."""
     if g.is_one():
         return a
     if a.is_zero():
@@ -255,16 +268,19 @@ def _exact_divide(a, g):
     lo_a, da = _to_dense(a)
     lo_g, dg = _to_dense(g)
     quot = [0] * (len(da) - len(dg) + 1)
-    da = list(da)
     for i in range(len(quot) - 1, -1, -1):
         c = da[i + len(dg) - 1]
-        assert c % dg[-1] == 0, "non-exact polynomial division"
+        if c % dg[-1]:
+            raise InexactDivision("%s does not divide %s"
+                                  % (g.render(), a.render()))
         qc = c // dg[-1]
         quot[i] = qc
         if qc:
             for j, gc in enumerate(dg):
                 da[i + j] -= qc * gc
-    assert not any(da), "non-exact polynomial division"
+    if any(da):
+        raise InexactDivision("%s does not divide %s"
+                              % (g.render(), a.render()))
     return LaurentPoly({e + lo_a - lo_g: c for e, c in enumerate(quot) if c})
 
 
@@ -420,6 +436,8 @@ class RatScalar:
 def _reduce(num, den):
     if num.is_zero():
         return ZERO, ONE
+    if den.is_one():
+        return num, den
     g = laurent_gcd(num, den)
     if not g.is_one():
         num = _exact_divide(num, g)

@@ -174,6 +174,45 @@ def test_usage_errors(capsys):
     assert run_cli(["nonsense"], capsys)[0] == 2
 
 
+def test_weight_of_wrong_length_is_a_usage_error(capsys):
+    code, out, err = run_cli(["basis", "--type", "A2", "--weight", "1,1,1"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err == "error: weight 1,1,1 needs 2 entries for A2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "thm51", "--type", "A2", "--height", "-1"],
+    ["check", "prop31", "--type", "A2", "--height", "0"],
+    ["mult-scan", "--type", "A2", "--orientation", "2>1", "--height", "0"],
+])
+def test_vacuous_height_is_a_usage_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert "height must be >= 1" in err
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(["rootdata", "--type", "A2",
+                              "--output", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    import qminor.cli
+
+    def boom(orientation):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(qminor.cli.quiver, "adapted_word", boom)
+    code, out, err = run_cli(["quiver", "--type", "A3",
+                              "--orientation", "2>1,2>3"], capsys)
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: unexpected\n"
+
+
 def test_check_exit_zero_on_pass(capsys):
     code, out, _ = run_cli(["check", "serre", "--type", "A3"], capsys)
     assert code == 0

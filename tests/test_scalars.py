@@ -1,12 +1,20 @@
 """Exact Laurent/rational scalar arithmetic, the bar involution, and the
 quantum integer combinatorics."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qminor
 from qminor.scalars import (LaurentPoly, RatScalar, quantum_integer,
-                            quantum_factorial, quantum_binomial, laurent_gcd)
+                            quantum_factorial, quantum_binomial, laurent_gcd,
+                            InexactDivision, _exact_divide, _reduce,
+                            _to_dense, _normalize_poly)
 
 
 def q(k, c=1):
@@ -132,3 +140,158 @@ def test_quantum_factorial_bar_symmetric():
         for norm in (2, 4):
             f = quantum_factorial(k, norm)
             assert f.bar() == f
+
+
+def test_non_exact_division_raises():
+    # 1 + q^2 = (1 + q)(q - 1) + 2
+    with pytest.raises(InexactDivision):
+        _exact_divide(q(0) + q(2), q(0) + q(1))
+    with pytest.raises(InexactDivision):
+        _exact_divide(q(0, 3) + q(1), q(0, 2))
+    assert _exact_divide(q(0) - q(2), q(0) + q(1)) == q(0) - q(1)
+
+
+def test_exactness_guard_survives_python_O():
+    code = ("import sys\n"
+            "from qminor.scalars import LaurentPoly, InexactDivision, "
+            "_exact_divide\n"
+            "print(sys.flags.optimize)\n"
+            "try:\n"
+            "    _exact_divide(LaurentPoly({0: 1, 2: 1}), "
+            "LaurentPoly({0: 1, 1: 1}))\n"
+            "except InexactDivision:\n"
+            "    print('raised')\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qminor.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\nraised\n"
+
+
+# -- the Euclid-over-Fraction gcd, kept as the oracle ---------------------------
+
+def _oracle_poly_mod(a, b):
+    """Remainder of a by b over Q, dense Fraction lists (b nonzero)."""
+    a = [Fraction(c) for c in a]
+    b = [Fraction(c) for c in b]
+    while len(a) >= len(b) and any(a):
+        while a and a[-1] == 0:
+            a.pop()
+        if len(a) < len(b):
+            break
+        factor = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[i + shift] -= factor * c
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _oracle_gcd(a, b):
+    """Euclid over Q, then content times the primitive part, normalized."""
+    if a.is_zero():
+        return _normalize_poly(b)
+    if b.is_zero():
+        return _normalize_poly(a)
+    _, da = _to_dense(a)
+    _, db = _to_dense(b)
+    content = gcd(gcd(*da), gcd(*db))
+    x, y = [Fraction(c) for c in da], [Fraction(c) for c in db]
+    while any(y):
+        x, y = y, _oracle_poly_mod(x, y)
+    den_lcm = 1
+    for c in x:
+        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+    ints = [int(c * den_lcm) for c in x]
+    cont = gcd(*ints)
+    ints = [c // cont for c in ints]
+    g = LaurentPoly({e: c * content for e, c in enumerate(ints)})
+    return _normalize_poly(g)
+
+
+# -- property tests -------------------------------------------------------------
+
+_FACTORS = [q(0) + q(1), q(0) - q(1), q(0) + q(2), q(0) - q(2),
+            q(0) + q(3), q(0) - q(3), q(0) + q(1) + q(2),
+            q(0) - q(1) + q(2), q(0, 2), q(0, 3), q(0, -1), q(1), q(-2)]
+
+_cofactor = st.just(q(0)) | st.dictionaries(
+    st.integers(-4, 4), st.integers(-5, -1) | st.integers(1, 5),
+    min_size=1, max_size=4).map(LaurentPoly)
+
+
+@st.composite
+def _products(draw, max_factors=3):
+    """A product of cyclotomic-style factors, small contents and powers
+    of q, times a small nonzero Laurent polynomial (often 1)."""
+    p = draw(_cofactor)
+    for f in draw(st.lists(st.sampled_from(_FACTORS), max_size=max_factors)):
+        p = p * f
+    return p
+
+
+_nonzero = _products()
+_operand = _products() | st.just(LaurentPoly())
+
+
+@st.composite
+def _rat(draw):
+    return RatScalar(draw(_operand), draw(_nonzero))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nonzero, _operand, _operand)
+def test_gcd_matches_oracle(g, a, b):
+    a, b = g * a, g * b
+    assert laurent_gcd(a, b) == _oracle_gcd(a, b)
+    assert laurent_gcd(b, a) == laurent_gcd(a, b)
+
+
+@settings(deadline=None)
+@given(_nonzero, _operand, _operand)
+def test_gcd_divides_both(g, a, b):
+    a, b = g * a, g * b
+    d = laurent_gcd(a, b)
+    if a.is_zero() and b.is_zero():
+        assert d.is_zero()
+        return
+    assert d.min_exp() == 0 and d.coeff(0) > 0
+    assert gcd(*d.coeffs.values()) == gcd(*a.coeffs.values(),
+                                          *b.coeffs.values())
+    for x in (a, b):
+        assert _exact_divide(x, d) * d == x
+    # g divides both operands, so it divides their gcd
+    assert _exact_divide(d, g) * g == d
+
+
+@settings(deadline=None)
+@given(_operand, _nonzero, _nonzero)
+def test_reduce_is_canonical(p, r, h):
+    num, den = _reduce(p, r)
+    assert _reduce(p * h, r * h) == (num, den)
+    assert den.min_exp() == 0 and den.coeff(0) > 0
+    assert laurent_gcd(num, den).is_one() or num.is_zero()
+
+
+@settings(deadline=None)
+@given(_rat(), _rat(), _rat())
+def test_rat_ring_axioms(a, b, c):
+    zero, one = RatScalar.zero(), RatScalar.one()
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a - a == zero
+    if not a.is_zero():
+        assert a * (one / a) == one
+
+
+@settings(deadline=None)
+@given(_rat(), _rat())
+def test_bar_is_a_ring_involution(a, b):
+    assert a.bar().bar() == a
+    assert (a + b).bar() == a.bar() + b.bar()
+    assert (a * b).bar() == a.bar() * b.bar()
