@@ -15,6 +15,5 @@ from .quiver import (Orientation, parse_orientation, all_orientations,
                      adapted_word, reflect_at_sink, tau, hom_dim, ext_dim)
 from .mult import (q_commute_exponent, is_multiplicative, check_511,
                    adapted_monomials, verify_theorem_51)
-from .conventions import Convention, active, set_convention
 
 __version__ = "0.1.0"

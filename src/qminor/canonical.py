@@ -8,14 +8,13 @@ x -> s_mu^{-1} sigma(eta(x)).  The solve is the standard unitriangular
 recursion over the right-lexicographic order.
 """
 
-from .scalars import LaurentPoly, RatScalar, ONE, quantum_factorial
+from .scalars import LaurentPoly, RatScalar, quantum_factorial
 from .rootdata import Vec, form, weyl_act
 from .qea import WordExpr, pairing
 from .pbw import (pbw_monomial, dual_pbw_normalizer, dual_f_monomial,
                   data_of_weight, check_datum, datum_weight,
                   render_datum, rlex_less, root_vector, pbw_coordinates,
-                  pbw_product, unit_datum)
-from . import conventions
+                  pbw_product)
 
 
 class NotUnitriangular(ArithmeticError):
@@ -76,8 +75,8 @@ def dual_product(w, ca, cb):
     return pbw_to_dual_coords(w, prod)
 
 
-_SIGMA_ETA_ROOT_CACHE = conventions.register_cache({})
-_SIGMA_ETA_MONOMIAL_CACHE = conventions.register_cache({})
+_SIGMA_ETA_ROOT_CACHE = {}
+_SIGMA_ETA_MONOMIAL_CACHE = {}
 
 
 def _sigma_eta_root_coords(w, k):
@@ -145,11 +144,6 @@ def congruent_mod_qL(x, y, w):
     return in_q_lattice(x - y, w)
 
 
-def coords_in_q_lattice(coords):
-    """qL* membership for an element given in dual-PBW coordinates."""
-    return all(c.is_in_qZq() for c in coords.values())
-
-
 def coords_congruent_mod_qL(ca, cb):
     zero = RatScalar.zero()
     for m in set(ca) | set(cb):
@@ -161,19 +155,18 @@ def coords_congruent_mod_qL(ca, cb):
 # -- the twisted bar involution ----------------------------------------------
 
 def eigen_scalar(datum, mu):
-    """s_mu = (-1)^tr(mu) q^{<mu,mu>/2} q_mu, with q_mu = q^{sum k_i d_i}
-    for mu = sum k_i alpha_i."""
+    """s_mu = (-1)^tr(mu) q^{-(<mu,mu>/2 + sum k_i d_i)} for
+    mu = sum k_i alpha_i."""
     if isinstance(mu, Vec):
         mu = mu.root_coords_int()
     v = Vec(datum, mu)
     tr = sum(mu)
     half_norm = int(form(v, v)) // 2
     dsum = sum(k * d for k, d in zip(mu, datum.d))
-    e = conventions.active().eigen_exp * (half_norm + dsum)
-    return RatScalar.q_power(e, -1 if tr % 2 else 1)
+    return RatScalar.q_power(-(half_norm + dsum), -1 if tr % 2 else 1)
 
 
-_BAR_MATRIX_CACHE = conventions.register_cache({})
+_BAR_MATRIX_CACHE = {}
 
 
 def bar_matrix(mu, w):
@@ -224,7 +217,7 @@ def _solve_skew(g):
         LaurentPoly({e: c for e, c in gl.coeffs.items() if e > 0}))
 
 
-_DCB_CACHE = conventions.register_cache({})
+_DCB_CACHE = {}
 
 
 def dual_canonical_basis(mu, w):

@@ -4,13 +4,11 @@ report with an "ok" flag.  The command-line `check` subcommand and the
 test suite both dispatch here.
 """
 
-from itertools import product
-
 from .scalars import RatScalar
 from .rootdata import (CartanDatum, ReducedWord, Vec, form, weyl_act,
-                       longest_word)
+                       longest_word, weights_up_to)
 from .qea import (WordExpr, TriExpr, pairing, canonical_form, serre_element,
-                  expr_equal)
+                  _alpha_vec)
 from . import pbw, canonical, quiver, mult
 
 
@@ -27,21 +25,6 @@ def standard_words(datum):
     if other == w0.word:
         return [w0]
     return [w0, ReducedWord(datum, other)]
-
-
-def weights_up_to(datum, bound):
-    out = []
-    for mu in product(range(bound + 1), repeat=datum.rank):
-        if 0 < sum(mu) <= bound:
-            out.append(mu)
-    return out
-
-
-def resolve_word(label, word=None):
-    datum = CartanDatum(label)
-    if word is None:
-        return datum, longest_word(datum)
-    return datum, ReducedWord(datum, word)
 
 
 # -- foundation ----------------------------------------------------------------
@@ -78,17 +61,13 @@ def check_pairing(label):
                 failures.append(["EF", i, j, got.render()])
     for i in datum.indices:
         for j in datum.indices:
-            got = pairing(TriExpr.k_elt(datum, _alpha(datum, i)),
-                          TriExpr.k_elt(datum, _alpha(datum, j)))
+            got = pairing(TriExpr.k_elt(datum, _alpha_vec(datum, i)),
+                          TriExpr.k_elt(datum, _alpha_vec(datum, j)))
             want = RatScalar.q_power(-int(form(datum.alpha(i),
                                                datum.alpha(j))))
             if got != want:
                 failures.append(["KK", i, j, got.render()])
     return _report(label, failures)
-
-
-def _alpha(datum, i):
-    return tuple(1 if t == i - 1 else 0 for t in range(datum.rank))
 
 
 def check_biorthogonality(label, height_bound, words=None):

@@ -10,6 +10,7 @@ PBW straightening in coordinates.
 """
 
 from .scalars import RatScalar
+from .rootdata import weights_up_to
 from .pbw import d_form, datum_weight, data_of_weight, render_datum
 from .canonical import (dual_canonical_basis, expand_dual_canonical_coords,
                         dual_product, coords_congruent_mod_qL,
@@ -99,21 +100,8 @@ def adapted_monomials(w, height_bound):
 
 def all_data_up_to(w, height_bound):
     """Every Lusztig datum of weight height <= height_bound (excluding 0)."""
-    out = []
-    rank = w.datum.rank
-
-    def weights(i, acc, left):
-        if i == rank:
-            if any(acc):
-                out.extend(data_of_weight(w, tuple(acc)))
-            return
-        for c in range(left + 1):
-            acc.append(c)
-            weights(i + 1, acc, left - c)
-            acc.pop()
-
-    weights(0, [], height_bound)
-    return out
+    return [m for mu in weights_up_to(w.datum, height_bound)
+            for m in data_of_weight(w, mu)]
 
 
 def verify_theorem_51(o, height_bound):

@@ -10,25 +10,27 @@ word rewriting.
 """
 
 from .scalars import LaurentPoly, RatScalar, ONE, quantum_factorial
-from .rootdata import ReducedWord, form, reflect
-from .qea import (WordExpr, TriExpr, tri_mul, pairing, canonical_form,
-                  NotInUqn)
-from . import conventions
+from .rootdata import form, reflect
+from .qea import WordExpr, TriExpr, tri_mul, pairing, _alpha_vec
 
 
 # -- braid automorphisms -------------------------------------------------
 
-_BRAID_GEN_CACHE = conventions.register_cache({})
+_BRAID_GEN_CACHE = {}
 
 
 def _braid_gen(datum, i, kind, j, mult):
     """T_i applied to E_j^{(mult)}, F_j^{(mult)} or (kind 'K') K_lambda
-    with lambda given by the coordinate tuple j."""
+    with lambda given by the coordinate tuple j.
+
+    For i != j and r = -a_ij,
+    T_i(E_j) = sum_s (-1)^(r-s) q_i^(s-r) E_i^(s) E_j E_i^(r-s) and
+    T_i(F_j) = sum_s (-1)^(r-s) q_i^(r-s) F_i^(r-s) F_j F_i^(s).
+    """
     key = (datum.label, i, kind, j, mult)
     hit = _BRAID_GEN_CACHE.get(key)
     if hit is not None:
         return hit
-    conv = conventions.active()
     if kind == "K":
         lam = datum.zero()
         for idx, c in enumerate(j, start=1):
@@ -39,12 +41,12 @@ def _braid_gen(datum, i, kind, j, mult):
         if kind == "E":
             # T_i(E_i) = -F_i K_{alpha_i}
             base = TriExpr(datum, {
-                (((i, 1),), _alpha_coords(datum, i, 1), ()):
+                (((i, 1),), _alpha_vec(datum, i), ()):
                 RatScalar.from_laurent(LaurentPoly.from_int(-1))})
         else:
             # T_i(F_i) = -K_{-alpha_i} E_i
             base = TriExpr(datum, {
-                ((), _alpha_coords(datum, i, -1), ((i, 1),)):
+                ((), _alpha_vec(datum, i, -1), ((i, 1),)):
                 RatScalar.from_laurent(LaurentPoly.from_int(-1))})
         out = _tri_divided_power(datum, base, mult,
                                  datum.root_norm(i))
@@ -54,7 +56,7 @@ def _braid_gen(datum, i, kind, j, mult):
         total = TriExpr.zero(datum)
         for s in range(-a + 1):
             if kind == "E":
-                exp = conv.e_braid_exp * (a + s)
+                exp = a + s
                 term = TriExpr.one(datum)
                 if s:
                     term = tri_mul(term, TriExpr.e_gen(datum, i, s))
@@ -62,7 +64,7 @@ def _braid_gen(datum, i, kind, j, mult):
                 if -a - s:
                     term = tri_mul(term, TriExpr.e_gen(datum, i, -a - s))
             else:
-                exp = conv.f_braid_exp * (-a - s)
+                exp = -a - s
                 term = TriExpr.one(datum)
                 if -a - s:
                     term = tri_mul(term, TriExpr.f_gen(datum, i, -a - s))
@@ -76,10 +78,6 @@ def _braid_gen(datum, i, kind, j, mult):
                                  datum.root_norm(j))
     _BRAID_GEN_CACHE[key] = out
     return out
-
-
-def _alpha_coords(datum, i, sign):
-    return tuple(sign if t == i - 1 else 0 for t in range(datum.rank))
 
 
 def _tri_divided_power(datum, x, mult, norm):
@@ -111,7 +109,7 @@ def braid_T(i, x):
 
 # -- root vectors ----------------------------------------------------------
 
-_ROOT_VECTOR_CACHE = conventions.register_cache({})
+_ROOT_VECTOR_CACHE = {}
 
 
 def _root_tri(datum, word, side):
@@ -142,7 +140,7 @@ def _root_unit(datum, beta):
     k = beta.root_coords_int()
     t = sum(c * d for c, d in zip(k, datum.d))
     h = int(form(beta, beta)) // 2
-    return RatScalar.q_power(conventions.active().root_unit_exp * (t - h))
+    return RatScalar.q_power(t - h)
 
 
 def root_vector(w, k):
@@ -187,39 +185,30 @@ def render_datum(m):
     return "[" + ",".join(str(c) for c in m) + "]"
 
 
-_PBW_MONOMIAL_CACHE = conventions.register_cache({})
+_PBW_MONOMIAL_CACHE = {}
 
 
 def pbw_monomial(w, m):
     """E(m) = E_{beta_1}^{(m_1)} ... E_{beta_N}^{(m_N)} as a UPlusExpr."""
-    m = check_datum(w, m)
-    key = (w.datum.label, w.word, m, "E")
-    hit = _PBW_MONOMIAL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = WordExpr.one(w.datum)
-    for k, c in enumerate(m, start=1):
-        if c:
-            out = out * _divided_root_power(w, k, c, "E")
-    _PBW_MONOMIAL_CACHE[key] = out
-    return out
+    return _monomial(w, m, "E")
 
 
 def f_pbw_monomial(w, m):
-    """F(m), the mirrored PBW monomial; factor order set by convention."""
+    """F(m) = F_{beta_1}^{(m_1)} ... F_{beta_N}^{(m_N)}, the mirrored PBW
+    monomial, with its factors in word order like E(m)."""
+    return _monomial(w, m, "F")
+
+
+def _monomial(w, m, side):
     m = check_datum(w, m)
-    conv = conventions.active()
-    key = (w.datum.label, w.word, m, "F")
+    key = (w.datum.label, w.word, m, side)
     hit = _PBW_MONOMIAL_CACHE.get(key)
     if hit is not None:
         return hit
-    out = WordExpr.one(w.datum, side="F")
-    ks = range(1, len(m) + 1)
-    if conv.f_pbw_order < 0:
-        ks = reversed(ks)
-    for k in ks:
-        if m[k - 1]:
-            out = out * _divided_root_power(w, k, m[k - 1], "F")
+    out = WordExpr.one(w.datum, side=side)
+    for k, c in enumerate(m, start=1):
+        if c:
+            out = out * _divided_root_power(w, k, c, side)
     _PBW_MONOMIAL_CACHE[key] = out
     return out
 
@@ -308,7 +297,7 @@ def _unit_part(r):
     return RatScalar.q_power(a, c // d)
 
 
-_NORMALIZER_CACHE = conventions.register_cache({})
+_NORMALIZER_CACHE = {}
 
 
 def _normalizer_pair(w, m):
@@ -324,11 +313,8 @@ def _normalizer_pair(w, m):
         raise ArithmeticError("degenerate PBW pairing at %s (convention bug)"
                               % render_datum(m))
     raw = RatScalar.one() / g
-    if conventions.active().normalizer_strip:
-        u = _unit_part(raw)
-        out = (raw / u, u)
-    else:
-        out = (raw, RatScalar.one())
+    u = _unit_part(raw)
+    out = (raw / u, u)
     _NORMALIZER_CACHE[key] = out
     return out
 
@@ -406,7 +392,7 @@ def unit_datum(N, k):
     return tuple(1 if t == k - 1 else 0 for t in range(N))
 
 
-_STRAIGHTEN_CACHE = conventions.register_cache({})
+_STRAIGHTEN_CACHE = {}
 
 
 class StraighteningError(ArithmeticError):
@@ -480,7 +466,7 @@ def _letter_factorial(w, m):
     return out
 
 
-_NORM_LETTERS_CACHE = conventions.register_cache({})
+_NORM_LETTERS_CACHE = {}
 
 
 def _straighten_letters(w, letters):
@@ -545,7 +531,7 @@ def pbw_product(w, ca, cb):
     return out
 
 
-_EXT_DOWNSET_CACHE = conventions.register_cache({})
+_EXT_DOWNSET_CACHE = {}
 
 
 class ExtOrder:

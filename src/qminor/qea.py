@@ -6,15 +6,14 @@ Equality is decided by the vector of pairings against all plain F-words
 of the weight (the pairing is nondegenerate) — never by rewriting
 modulo the quantum Serre relations, so no Groebner machinery appears.
 
-The pairing recursion, the coproduct and the commutation rules all
-depend on the active Convention (see conventions module); every cache
-here is registered there and flushed on a convention switch.
+The Hopf pairing follows one fixed convention, stated where it is used
+(generator_pairing, _pairing_core, pairing).  The memo caches are plain
+module dicts that live as long as the process.
 """
 
 from .scalars import (LaurentPoly, RatScalar, ZERO, ONE,
                       quantum_factorial, quantum_binomial)
 from .rootdata import Vec
-from . import conventions
 
 
 class NotInUqn(ValueError):
@@ -144,12 +143,6 @@ class WordExpr:
         if k < 1:
             raise ValueError("divided power needs k >= 1")
         return cls(datum, {((i, k),): RatScalar.one()}, side)
-
-    @classmethod
-    def from_plain(cls, datum, plain, coeff=None, side="E"):
-        word, factor = canonicalize_word(datum, plain_to_pairs(plain))
-        c = RatScalar.one() if coeff is None else coeff
-        return cls(datum, {word: c * factor}, side)
 
     # -- basic structure ------------------------------------------------
 
@@ -364,6 +357,13 @@ def _alpha_vec(datum, i, sign=1):
     return tuple(sign if j == i - 1 else 0 for j in range(datum.rank))
 
 
+def _wt_vec(datum, plain):
+    wt = [0] * datum.rank
+    for i in plain:
+        wt[i - 1] += 1
+    return tuple(wt)
+
+
 def _vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
@@ -532,7 +532,7 @@ class TriExpr:
 
 # -- normal ordering (E past F) -----------------------------------------
 
-_PUSH_F_CACHE = conventions.register_cache({})
+_PUSH_F_CACHE = {}
 
 
 def _push_f(datum, eplain, b):
@@ -558,10 +558,7 @@ def _push_f(datum, eplain, b):
     if a == b:
         d = datum.d[a - 1]
         denom = LaurentPoly({d: 1, -d: -1})  # q_a - q_a^{-1}
-        wt_head = [0] * datum.rank
-        for i in eplain[:-1]:
-            wt_head[i - 1] += 1
-        pair = _form_int(datum, _alpha_vec(datum, a), tuple(wt_head))
+        pair = _form_int(datum, _alpha_vec(datum, a), _wt_vec(datum, head))
         # head * K_{+-alpha_a} = q^{-+<alpha_a, wt(head)>} K_{+-alpha_a} * head
         terms.append(((), _alpha_vec(datum, a, 1), head,
                       RatScalar(LaurentPoly.q_power(-pair), denom)))
@@ -572,7 +569,7 @@ def _push_f(datum, eplain, b):
     return out
 
 
-_NORMAL_ORDER_CACHE = conventions.register_cache({})
+_NORMAL_ORDER_CACHE = {}
 
 
 def _normal_order(datum, eplain, fplain):
@@ -591,11 +588,8 @@ def _normal_order(datum, eplain, fplain):
         for (f, k, h), c in acc.items():
             for f2, k2, h2, c2 in _push_f(datum, h, b):
                 # move K_k right past the new F letters
-                wt_f2 = [0] * datum.rank
-                for i in f2:
-                    wt_f2[i - 1] += 1
                 c3 = c * c2 * RatScalar.q_power(
-                    -_form_int(datum, k, tuple(wt_f2)))
+                    -_form_int(datum, k, _wt_vec(datum, f2)))
                 nk = (f + f2, _vec_add(k, k2), h2)
                 s = nxt.get(nk, RatScalar.zero()) + c3
                 if s.is_zero():
@@ -622,15 +616,9 @@ def tri_mul(x, y):
             r2 = plain_factor(datum, f2)
             base = c1 * c2 * r1 * r2
             for fp, kp, ep, c in _normal_order(datum, pe1, pf2):
-                wt_fp = [0] * datum.rank
-                for i in fp:
-                    wt_fp[i - 1] += 1
-                wt_ep = [0] * datum.rank
-                for i in ep:
-                    wt_ep[i - 1] += 1
                 # K_{k1} right past fp, then ep right past K_{k2}
-                shift = (-_form_int(datum, k1, tuple(wt_fp))
-                         - _form_int(datum, k2, tuple(wt_ep)))
+                shift = (-_form_int(datum, k1, _wt_vec(datum, fp))
+                         - _form_int(datum, k2, _wt_vec(datum, ep)))
                 coeff = base * c * RatScalar.q_power(shift)
                 fw, ff = canonicalize_word(datum, f1 + plain_to_pairs(fp))
                 ew, ef = canonicalize_word(datum, plain_to_pairs(ep) + e2)
@@ -646,12 +634,15 @@ def tri_mul(x, y):
 
 # -- the Hopf pairing ----------------------------------------------------
 
-_CORE_CACHE = conventions.register_cache({})
+_CORE_CACHE = {}
 
 
 def _pairing_core(datum, eplain, fplain):
     """The q-power part of (E-word, F-word): the full pairing with the
     generator factor prod_a (E_a, F_a) divided out.  A Laurent polynomial.
+
+    Coproduct: Delta(E_i) = E_i x 1 + K_i x E_i,
+    Delta(F_i) = F_i x K_-i + 1 x F_i.
     """
     key = (datum.label, eplain, fplain)
     hit = _CORE_CACHE.get(key)
@@ -663,49 +654,24 @@ def _pairing_core(datum, eplain, fplain):
     if not eplain:
         _CORE_CACHE[key] = ONE
         return ONE
-    conv = conventions.active()
     a = eplain[0]
     rest = eplain[1:]
-    alpha_a = _alpha_vec(datum, a)
+    row = datum.form_matrix[a - 1]
     total = ZERO
-    s1 = conv.cop_f_k_sign
-    if conv.coproduct == 1:
-        # factor from the Delta(F) K's of the letters left of position t
-        run = 0
-        for t, b in enumerate(fplain):
-            if b == a:
-                sub = _pairing_core(datum, rest, fplain[:t] + fplain[t + 1:])
-                if not sub.is_zero():
-                    total = total + sub.shift(run)
-            run += s1 * _form_int(datum, _alpha_vec(datum, b), alpha_a)
-    else:
-        s2 = conv.cop_e_k_sign
-        extra = (-s1 * s2 * conv.k_pairing_sign
-                 * _form_int(datum, alpha_a, _wt_vec(datum, rest)))
-        # run = <alpha_a, wt of the suffix strictly after position t>
-        run = s1 * _form_int(datum, alpha_a, _wt_vec(datum, fplain))
-        for t, b in enumerate(fplain):
-            run -= s1 * _form_int(datum, alpha_a, _alpha_vec(datum, b))
-            if b == a:
-                sub = _pairing_core(datum, rest, fplain[:t] + fplain[t + 1:])
-                if not sub.is_zero():
-                    total = total + sub.shift(run + extra)
+    run = 0
+    for t, b in enumerate(fplain):
+        if b == a:
+            sub = _pairing_core(datum, rest, fplain[:t] + fplain[t + 1:])
+            if not sub.is_zero():
+                total = total + sub.shift(run)
+        run -= row[b - 1]
     _CORE_CACHE[key] = total
     return total
 
 
-def _wt_vec(datum, plain):
-    wt = [0] * datum.rank
-    for i in plain:
-        wt[i - 1] += 1
-    return tuple(wt)
-
-
 def generator_pairing(datum, i):
-    """(E_i, F_i) = 1/(1 - q_i^{2 * pairing_exp})."""
-    conv = conventions.active()
-    e = 2 * conv.pairing_exp * datum.d[i - 1]
-    return RatScalar(ONE, LaurentPoly({0: 1, e: -1}))
+    """(E_i, F_i) = 1/(1 - q_i^{-2})."""
+    return RatScalar(ONE, LaurentPoly({0: 1, -2 * datum.d[i - 1]: -1}))
 
 
 def _content_pairing(datum, plain):
@@ -723,6 +689,7 @@ def pairing(x, y):
 
     x: WordExpr (side E) or TriExpr with terms K_lambda * E-word;
     y: WordExpr (side F) or TriExpr with terms F-word * K_mu.
+    The K parts pair as (K_lam, K_mu) = q^{-(lam, mu)}.
     """
     if isinstance(x, WordExpr):
         if x.side != "E":
@@ -735,15 +702,12 @@ def pairing(x, y):
     datum = x.datum
     if datum is not y.datum:
         raise ValueError("pairing over different Cartan data")
-    conv = conventions.active()
-    kappa = conv.k_pairing_sign
     total = RatScalar.zero()
     for (f1, lam, e1), c1 in x.terms.items():
         if f1:
             raise ValueError("first pairing argument has F content")
         pe = word_to_plain(e1)
         r1 = plain_factor(datum, e1)
-        wt_e = _wt_vec(datum, pe)
         for (f2, mu, e2), c2 in y.terms.items():
             if e2:
                 raise ValueError("second pairing argument has E content")
@@ -752,14 +716,7 @@ def pairing(x, y):
             if core.is_zero():
                 continue
             r2 = plain_factor(datum, f2)
-            if conv.coproduct == 1:
-                kshift = kappa * _form_int(datum, lam, mu)
-            else:
-                s1 = conv.cop_f_k_sign
-                s2 = conv.cop_e_k_sign
-                mu_end = tuple(m - s1 * w for m, w in zip(mu, wt_e))
-                kshift = (kappa * _form_int(datum, lam, mu_end)
-                          + s2 * kappa * _form_int(datum, wt_e, mu))
+            kshift = -_form_int(datum, lam, mu)
             val = (c1 * c2 * r1 * r2 * _content_pairing(datum, pe)
                    * RatScalar.from_laurent(core.shift(kshift)))
             total = total + val

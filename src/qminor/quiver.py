@@ -9,9 +9,10 @@ recursion eps(M, N) = <dim M, dim N> + eps(N, tau M).
 
 import random
 
-from .rootdata import ReducedWord, num_positive_roots, weyl_act, form, Vec
+from .rootdata import (ReducedWord, num_positive_roots, weyl_act, form,
+                       weights_up_to)
 from .pbw import (d_form, datum_weight, data_of_weight, unit_datum,
-                  ext_order, render_datum)
+                  ext_order)
 
 
 class NotASink(ValueError):
@@ -211,7 +212,7 @@ def check_monotone(o, w, k, height_bound):
     mk = unit_datum(N, k)
     order = ext_order(w)
     failures = []
-    for mu in _weights_up_to(w.datum, height_bound):
+    for mu in weights_up_to(w.datum, height_bound):
         data = data_of_weight(w, mu)
         vals = {}
         for m in data:
@@ -225,23 +226,6 @@ def check_monotone(o, w, k, height_bound):
                 if m != n and order.leq(m, n) and vals[m] > vals[n]:
                     failures.append(("monotone", m, n, vals[m], vals[n]))
     return failures
-
-
-def _weights_up_to(datum, height_bound):
-    out = []
-
-    def build(i, acc, left):
-        if i == datum.rank:
-            if any(acc):
-                out.append(tuple(acc))
-            return
-        for c in range(left + 1):
-            acc.append(c)
-            build(i + 1, acc, left - c)
-            acc.pop()
-
-    build(0, [], height_bound)
-    return out
 
 
 # -- type A flag words ---------------------------------------------------------

@@ -8,6 +8,7 @@ the branch vertex adjacent to 1, 3 and 4.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 
 class NotReduced(ValueError):
@@ -342,15 +343,11 @@ def dual_vertex(datum, i):
     raise AssertionError("w_0(alpha_%d) is not minus a simple root" % i)
 
 
-def weyl_element_key(datum, word):
-    """Canonical key for the Weyl element of a (not necessarily reduced)
-    word: its inversion set {r > 0 : w^-1(r) < 0}.
-
-    For a reduced word this equals the set of its beta_k.
-    """
-    inv = tuple(reversed(tuple(word)))
-    return frozenset(r for r in positive_roots(datum)
-                     if not weyl_act(datum, inv, r).is_positive())
+def weights_up_to(datum, bound):
+    """Every nonzero root-coordinate tuple of height <= bound, in
+    lexicographic order."""
+    return [mu for mu in product(range(bound + 1), repeat=datum.rank)
+            if 0 < sum(mu) <= bound]
 
 
 def is_reduced(datum, word):

@@ -31,6 +31,13 @@ class LaurentPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _nonzero(cls, coeffs):
+        """Wrap a dict that has no zero coefficient, skipping the filter."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
+    @classmethod
     def from_int(cls, n):
         return cls({0: n})
 
@@ -48,10 +55,6 @@ class LaurentPoly:
 
     def is_monomial(self):
         return len(self.coeffs) == 1
-
-    def is_unit(self):
-        """Units of Z[q, q^-1] are +-q^k."""
-        return len(self.coeffs) == 1 and abs(next(iter(self.coeffs.values()))) == 1
 
     # -- structure ----------------------------------------------------
 
@@ -72,7 +75,7 @@ class LaurentPoly:
         """Multiply by q^k."""
         if k == 0:
             return self
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
+        return LaurentPoly._nonzero({e + k: c for e, c in self.coeffs.items()})
 
     # -- arithmetic ---------------------------------------------------
 
@@ -86,7 +89,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return LaurentPoly._nonzero({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-_as_laurent(other))
@@ -119,7 +122,7 @@ class LaurentPoly:
 
     def bar(self):
         """Substitute q -> q^-1."""
-        return LaurentPoly({-e: c for e, c in self.coeffs.items()})
+        return LaurentPoly._nonzero({-e: c for e, c in self.coeffs.items()})
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -14,7 +14,8 @@ from qminor.pbw import (braid_T, root_vector, f_root_vector, pbw_monomial,
                         pairing_em_fn, dual_pbw_normalizer, dual_f_monomial,
                         d_form, c_form, rlex_less, unit_datum,
                         straighten_commutator, ext_order, pbw_product,
-                        datum_weight, render_datum)
+                        datum_weight, render_datum, _normalizer_pair)
+from qminor.checks import standard_words, weights_up_to
 
 A2 = CartanDatum("A2")
 A3 = CartanDatum("A3")
@@ -157,6 +158,20 @@ def test_dual_normalizer_examples():
     assert f1.eval_at_zero() == 1
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "A3"])
+def test_normalizer_pair_splits_reciprocal_pairing(label):
+    # 1/(E(m), F(m)) = u_m f_m with u_m = +-q^a and f_m(0) = 1.
+    datum = CartanDatum(label)
+    for w in standard_words(datum):
+        for mu in weights_up_to(datum, 2):
+            for m in data_of_weight(w, mu):
+                f, u = _normalizer_pair(w, m)
+                assert RatScalar.one() / pairing_em_fn(w, m, m) == u * f
+                assert f.eval_at_zero() == 1
+                assert u.is_q_power() is not None \
+                    or (-u).is_q_power() is not None
+
+
 def test_dual_normalizer_biorthonormality():
     # (E(m)*, dual_f_monomial(m)) = 1 exactly, with E(m)* = f_m E(m).
     for m in data_of_weight(W_A2, (1, 1)) + data_of_weight(W_A2, (2, 1)):
@@ -224,17 +239,26 @@ def test_straightening_matches_element_arithmetic():
 
 
 def test_pbw_product_matches_element_multiplication():
-    # Coordinate-level products agree with multiplying the elements and
-    # re-expanding, across a weight-(1,1)+(1,1) sample in A2.
-    data = data_of_weight(W_A2, (1, 1))
-    for m in data:
-        for n in data:
-            prod = pbw_product(W_A2, {m: RatScalar.one()},
-                               {n: RatScalar.one()})
-            elt = pbw_monomial(W_A2, m) * pbw_monomial(W_A2, n)
-            exp = pbw_coordinates(elt, W_A2)
-            assert {k: v for k, v in prod.items() if not v.is_zero()} \
-                == dict(exp.coeffs)
+    # Coordinate-level products (straightening route) agree with
+    # multiplying the elements and re-expanding (pairing route), for both
+    # standard words of every type and all weight pairs of total height
+    # <= 3 (rank <= 2) or <= 2.
+    for label in ("A1", "A2", "A3", "B2", "A4", "D4"):
+        datum = CartanDatum(label)
+        bound = 3 if datum.rank <= 2 else 2
+        weights = weights_up_to(datum, bound)
+        for w in standard_words(datum):
+            for mu, nu in itertools.product(weights, repeat=2):
+                if sum(mu) + sum(nu) > bound:
+                    continue
+                for m in data_of_weight(w, mu):
+                    for n in data_of_weight(w, nu):
+                        prod = pbw_product(w, {m: RatScalar.one()},
+                                           {n: RatScalar.one()})
+                        elt = pbw_monomial(w, m) * pbw_monomial(w, n)
+                        exp = pbw_coordinates(elt, w)
+                        assert {k: v for k, v in prod.items()
+                                if not v.is_zero()} == dict(exp.coeffs)
 
 
 def test_graded_commutation_leading_term():

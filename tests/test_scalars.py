@@ -295,3 +295,16 @@ def test_bar_is_a_ring_involution(a, b):
     assert a.bar().bar() == a
     assert (a + b).bar() == a.bar() + b.bar()
     assert (a * b).bar() == a.bar() * b.bar()
+
+
+@settings(deadline=None)
+@given(st.dictionaries(st.integers(-5, 5), st.integers(-3, 3)),
+       st.integers(-6, 6))
+def test_shift_neg_bar_need_no_zero_filter(raw, k):
+    # these three skip the constructor's zero filter
+    p = LaurentPoly(raw)
+    for got, want in ((p.shift(k), {e + k: c for e, c in raw.items()}),
+                      (-p, {e: -c for e, c in raw.items()}),
+                      (p.bar(), {-e: c for e, c in raw.items()})):
+        assert 0 not in got.coeffs.values()
+        assert got == LaurentPoly(want)
