@@ -8,6 +8,8 @@ x -> s_mu^{-1} sigma(eta(x)).  The solve is the standard unitriangular
 recursion over the right-lexicographic order.
 """
 
+from functools import cache
+
 from .scalars import LaurentPoly, RatScalar, quantum_factorial
 from .rootdata import Vec, form, weyl_act
 from .qea import WordExpr, pairing
@@ -75,29 +77,18 @@ def dual_product(w, ca, cb):
     return pbw_to_dual_coords(w, prod)
 
 
-_SIGMA_ETA_ROOT_CACHE = {}
-_SIGMA_ETA_MONOMIAL_CACHE = {}
-
-
+@cache
 def _sigma_eta_root_coords(w, k):
     """PBW coordinates of sigma_eta(E_{beta_k}); computed by pairing at the
     (small) root weight, once per (word, k)."""
-    key = (w.datum.label, w.word, k)
-    hit = _SIGMA_ETA_ROOT_CACHE.get(key)
-    if hit is None:
-        hit = dict(pbw_coordinates(root_vector(w, k).sigma_eta(), w).coeffs)
-        _SIGMA_ETA_ROOT_CACHE[key] = hit
-    return hit
+    return pbw_coordinates(root_vector(w, k).sigma_eta(), w)
 
 
+@cache
 def _sigma_eta_pbw_monomial(w, n):
     """PBW coordinates of sigma_eta(E(n)).  sigma_eta is a bar-linear
     antiautomorphism, so the image is the descending product of the
     sigma_eta(E_{beta_k})^{m_k}/[m_k]! factors, assembled by straightening."""
-    key = (w.datum.label, w.word, n)
-    hit = _SIGMA_ETA_MONOMIAL_CACHE.get(key)
-    if hit is not None:
-        return hit
     N = len(w.word)
     out = {(0,) * N: RatScalar.one()}
     for k in range(N, 0, -1):
@@ -112,7 +103,6 @@ def _sigma_eta_pbw_monomial(w, n):
             fact = RatScalar.from_laurent(
                 quantum_factorial(c, int(form(beta, beta))))
             out = {m: v / fact for m, v in out.items()}
-    _SIGMA_ETA_MONOMIAL_CACHE[key] = out
     return out
 
 
@@ -154,11 +144,17 @@ def coords_congruent_mod_qL(ca, cb):
 
 # -- the twisted bar involution ----------------------------------------------
 
+def _weight_tuple(mu):
+    """A weight given as a Vec or a coordinate sequence, as a tuple."""
+    if isinstance(mu, Vec):
+        return mu.root_coords_int()
+    return tuple(mu)
+
+
 def eigen_scalar(datum, mu):
     """s_mu = (-1)^tr(mu) q^{-(<mu,mu>/2 + sum k_i d_i)} for
     mu = sum k_i alpha_i."""
-    if isinstance(mu, Vec):
-        mu = mu.root_coords_int()
+    mu = _weight_tuple(mu)
     v = Vec(datum, mu)
     tr = sum(mu)
     half_norm = int(form(v, v)) // 2
@@ -166,20 +162,15 @@ def eigen_scalar(datum, mu):
     return RatScalar.q_power(-(half_norm + dsum), -1 if tr % 2 else 1)
 
 
-_BAR_MATRIX_CACHE = {}
-
-
 def bar_matrix(mu, w):
     """Entries r[m][n] of x -> s_mu^{-1} sigma(eta(x)) on the dual PBW
     basis of the weight space; unitriangular for rlex with unit diagonal.
     """
-    if isinstance(mu, Vec):
-        mu = mu.root_coords_int()
-    mu = tuple(mu)
-    key = (w.datum.label, w.word, mu)
-    hit = _BAR_MATRIX_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _bar_matrix(_weight_tuple(mu), w)
+
+
+@cache
+def _bar_matrix(mu, w):
     s_inv = RatScalar.one() / eigen_scalar(w.datum, mu)
     data = data_of_weight(w, mu)
     R = {}
@@ -197,9 +188,7 @@ def bar_matrix(mu, w):
                     "entry (%s, %s) = %s above the diagonal"
                     % (render_datum(m), render_datum(n), c.render()))
             R.setdefault(m, {})[n] = c
-    out = (tuple(data), R)
-    _BAR_MATRIX_CACHE[key] = out
-    return out
+    return tuple(data), R
 
 
 def _solve_skew(g):
@@ -217,20 +206,15 @@ def _solve_skew(g):
         LaurentPoly({e: c for e, c in gl.coeffs.items() if e > 0}))
 
 
-_DCB_CACHE = {}
-
-
 def dual_canonical_basis(mu, w):
     """All B(n)* of the weight space, as dual-PBW coordinate dicts
     keyed by n.  Each satisfies B(n)* = E(n)* + sum_{m rlex< n} c_m E(m)*
     with c_m in qZ[q] and twisted-bar fixedness."""
-    if isinstance(mu, Vec):
-        mu = mu.root_coords_int()
-    mu = tuple(mu)
-    key = (w.datum.label, w.word, mu)
-    hit = _DCB_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _dual_canonical_basis(_weight_tuple(mu), w)
+
+
+@cache
+def _dual_canonical_basis(mu, w):
     data, R = bar_matrix(mu, w)
     basis = {}
     for n in data:
@@ -251,7 +235,6 @@ def dual_canonical_basis(mu, w):
                                      % (cm.render(), render_datum(m)))
                 c[m] = cm
         basis[n] = c
-    _DCB_CACHE[key] = basis
     return basis
 
 

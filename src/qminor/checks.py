@@ -6,7 +6,7 @@ test suite both dispatch here.
 
 from .scalars import RatScalar
 from .rootdata import (CartanDatum, ReducedWord, Vec, form, weyl_act,
-                       longest_word, weights_up_to)
+                       longest_word, weights_up_to, reduced_completion)
 from .qea import (WordExpr, TriExpr, pairing, canonical_form, serre_element,
                   _alpha_vec)
 from . import pbw, canonical, quiver, mult
@@ -289,7 +289,6 @@ def check_remark43():
     every flag minor of every orientation-adapted word.  No match is the
     expected outcome; a match would be an open finding, not a bug."""
     datum = CartanDatum("D4")
-    from .rootdata import reduced_completion
     w = reduced_completion(ReducedWord(datum, (2, 1, 3, 2)))
     n, elt = canonical.flag_minor(w, 4)
     target = canonical_form(elt)

@@ -271,7 +271,7 @@ def _cmd_pbw(args):
         "word": list(w.word),
         "expr": args.expr,
         "coords": {pbw.render_datum(m): c.render()
-                   for m, c in coords.coeffs.items()},
+                   for m, c in coords.items()},
     }, args)
     return 0
 

@@ -11,10 +11,12 @@ PBW straightening in coordinates.
 
 from .scalars import RatScalar
 from .rootdata import weights_up_to
-from .pbw import d_form, datum_weight, data_of_weight, render_datum
+from .pbw import (d_form, datum_weight, data_of_weight, render_datum,
+                  pbw_coordinates)
 from .canonical import (dual_canonical_basis, expand_dual_canonical_coords,
                         dual_product, coords_congruent_mod_qL,
-                        flag_minor_datum)
+                        flag_minor_datum, pbw_to_dual_coords)
+from .quiver import adapted_word
 
 
 def _dual_can_coords(w, m):
@@ -48,10 +50,8 @@ def q_commute_exponent_coords(w, ca, cb):
 
 def q_commute_exponent(b, bp, w):
     """The exponent for two UPlusExprs (homogeneous), via PBW coordinates."""
-    from .pbw import pbw_coordinates
-    from .canonical import pbw_to_dual_coords
-    ca = pbw_to_dual_coords(w, dict(pbw_coordinates(b, w).coeffs))
-    cb = pbw_to_dual_coords(w, dict(pbw_coordinates(bp, w).coeffs))
+    ca = pbw_to_dual_coords(w, pbw_coordinates(b, w))
+    cb = pbw_to_dual_coords(w, pbw_coordinates(bp, w))
     return q_commute_exponent_coords(w, ca, cb)
 
 
@@ -109,7 +109,6 @@ def verify_theorem_51(o, height_bound):
     the height bound for the adapted word of the orientation o; every
     q-commuting pair must be multiplicative with the predicted datum and
     satisfy the lattice congruence.  Returns a JSON-ready report."""
-    from .quiver import adapted_word
     w = adapted_word(o)
     lattice = [m for m in adapted_monomials(w, height_bound) if any(m)]
     others = all_data_up_to(w, height_bound)

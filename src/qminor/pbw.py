@@ -9,6 +9,8 @@ against the mirrored F-side monomials (biorthogonality), never by
 word rewriting.
 """
 
+from functools import cache
+
 from .scalars import LaurentPoly, RatScalar, ONE, quantum_factorial
 from .rootdata import form, reflect
 from .qea import WordExpr, TriExpr, tri_mul, pairing, _alpha_vec
@@ -16,9 +18,7 @@ from .qea import WordExpr, TriExpr, tri_mul, pairing, _alpha_vec
 
 # -- braid automorphisms -------------------------------------------------
 
-_BRAID_GEN_CACHE = {}
-
-
+@cache
 def _braid_gen(datum, i, kind, j, mult):
     """T_i applied to E_j^{(mult)}, F_j^{(mult)} or (kind 'K') K_lambda
     with lambda given by the coordinate tuple j.
@@ -27,17 +27,13 @@ def _braid_gen(datum, i, kind, j, mult):
     T_i(E_j) = sum_s (-1)^(r-s) q_i^(s-r) E_i^(s) E_j E_i^(r-s) and
     T_i(F_j) = sum_s (-1)^(r-s) q_i^(r-s) F_i^(r-s) F_j F_i^(s).
     """
-    key = (datum.label, i, kind, j, mult)
-    hit = _BRAID_GEN_CACHE.get(key)
-    if hit is not None:
-        return hit
     if kind == "K":
         lam = datum.zero()
         for idx, c in enumerate(j, start=1):
             if c:
                 lam = lam + datum.alpha(idx) * c
-        out = TriExpr.k_elt(datum, reflect(i, lam).root_coords_int())
-    elif i == j:
+        return TriExpr.k_elt(datum, reflect(i, lam).root_coords_int())
+    if i == j:
         if kind == "E":
             # T_i(E_i) = -F_i K_{alpha_i}
             base = TriExpr(datum, {
@@ -48,36 +44,30 @@ def _braid_gen(datum, i, kind, j, mult):
             base = TriExpr(datum, {
                 ((), _alpha_vec(datum, i, -1), ((i, 1),)):
                 RatScalar.from_laurent(LaurentPoly.from_int(-1))})
-        out = _tri_divided_power(datum, base, mult,
-                                 datum.root_norm(i))
-    else:
-        a = datum.cartan[i - 1][j - 1]
-        di = datum.d[i - 1]
-        total = TriExpr.zero(datum)
-        for s in range(-a + 1):
-            if kind == "E":
-                exp = a + s
-                term = TriExpr.one(datum)
-                if s:
-                    term = tri_mul(term, TriExpr.e_gen(datum, i, s))
-                term = tri_mul(term, TriExpr.e_gen(datum, j))
-                if -a - s:
-                    term = tri_mul(term, TriExpr.e_gen(datum, i, -a - s))
-            else:
-                exp = -a - s
-                term = TriExpr.one(datum)
-                if -a - s:
-                    term = tri_mul(term, TriExpr.f_gen(datum, i, -a - s))
-                term = tri_mul(term, TriExpr.f_gen(datum, j))
-                if s:
-                    term = tri_mul(term, TriExpr.f_gen(datum, i, s))
-            sign = -1 if (-a - s) % 2 else 1
-            total = total + term.scale(
-                RatScalar.q_power(di * exp, sign))
-        out = _tri_divided_power(datum, total, mult,
-                                 datum.root_norm(j))
-    _BRAID_GEN_CACHE[key] = out
-    return out
+        return _tri_divided_power(datum, base, mult, datum.root_norm(i))
+    a = datum.cartan[i - 1][j - 1]
+    di = datum.d[i - 1]
+    total = TriExpr.zero(datum)
+    for s in range(-a + 1):
+        if kind == "E":
+            exp = a + s
+            term = TriExpr.one(datum)
+            if s:
+                term = tri_mul(term, TriExpr.e_gen(datum, i, s))
+            term = tri_mul(term, TriExpr.e_gen(datum, j))
+            if -a - s:
+                term = tri_mul(term, TriExpr.e_gen(datum, i, -a - s))
+        else:
+            exp = -a - s
+            term = TriExpr.one(datum)
+            if -a - s:
+                term = tri_mul(term, TriExpr.f_gen(datum, i, -a - s))
+            term = tri_mul(term, TriExpr.f_gen(datum, j))
+            if s:
+                term = tri_mul(term, TriExpr.f_gen(datum, i, s))
+        sign = -1 if (-a - s) % 2 else 1
+        total = total + term.scale(RatScalar.q_power(di * exp, sign))
+    return _tri_divided_power(datum, total, mult, datum.root_norm(j))
 
 
 def _tri_divided_power(datum, x, mult, norm):
@@ -109,25 +99,15 @@ def braid_T(i, x):
 
 # -- root vectors ----------------------------------------------------------
 
-_ROOT_VECTOR_CACHE = {}
-
-
+@cache
 def _root_tri(datum, word, side):
     """T_{i_1} ... T_{i_{k-1}} applied to the side-generator of i_k,
     where word = (i_1, ..., i_k).  Shared suffix recursion."""
-    key = (datum.label, word, side)
-    hit = _ROOT_VECTOR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if len(word) == 1:
-        if side == "E":
-            out = TriExpr.e_gen(datum, word[0])
-        else:
-            out = TriExpr.f_gen(datum, word[0])
-    else:
-        out = braid_T(word[0], _root_tri(datum, word[1:], side))
-    _ROOT_VECTOR_CACHE[key] = out
-    return out
+    if len(word) > 1:
+        return braid_T(word[0], _root_tri(datum, word[1:], side))
+    if side == "E":
+        return TriExpr.e_gen(datum, word[0])
+    return TriExpr.f_gen(datum, word[0])
 
 
 def _root_unit(datum, beta):
@@ -185,31 +165,23 @@ def render_datum(m):
     return "[" + ",".join(str(c) for c in m) + "]"
 
 
-_PBW_MONOMIAL_CACHE = {}
-
-
 def pbw_monomial(w, m):
     """E(m) = E_{beta_1}^{(m_1)} ... E_{beta_N}^{(m_N)} as a UPlusExpr."""
-    return _monomial(w, m, "E")
+    return _monomial(w, check_datum(w, m), "E")
 
 
 def f_pbw_monomial(w, m):
     """F(m) = F_{beta_1}^{(m_1)} ... F_{beta_N}^{(m_N)}, the mirrored PBW
     monomial, with its factors in word order like E(m)."""
-    return _monomial(w, m, "F")
+    return _monomial(w, check_datum(w, m), "F")
 
 
+@cache
 def _monomial(w, m, side):
-    m = check_datum(w, m)
-    key = (w.datum.label, w.word, m, side)
-    hit = _PBW_MONOMIAL_CACHE.get(key)
-    if hit is not None:
-        return hit
     out = WordExpr.one(w.datum, side=side)
     for k, c in enumerate(m, start=1):
         if c:
             out = out * _divided_root_power(w, k, c, side)
-    _PBW_MONOMIAL_CACHE[key] = out
     return out
 
 
@@ -220,32 +192,6 @@ def _divided_root_power(w, k, c, side):
         beta = w.betas[k - 1]
         out = out.scale(RatScalar(ONE, quantum_factorial(c, int(form(beta, beta)))))
     return out
-
-
-class PBWExpansion:
-    """Coordinates in the PBW basis {E(m)} of one reduced word."""
-
-    __slots__ = ("word", "coeffs")
-
-    def __init__(self, word, coeffs):
-        self.word = word
-        self.coeffs = {m: c for m, c in coeffs.items() if not c.is_zero()}
-
-    def support(self):
-        return frozenset(self.coeffs)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, PBWExpansion):
-            return NotImplemented
-        return self.word == other.word and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        inner = ", ".join("%s: %s" % (render_datum(m), c.render())
-                          for m, c in sorted(self.coeffs.items()))
-        return "PBWExpansion(%s; {%s})" % (self.word.render(), inner)
 
 
 def data_of_weight(w, mu):
@@ -297,26 +243,17 @@ def _unit_part(r):
     return RatScalar.q_power(a, c // d)
 
 
-_NORMALIZER_CACHE = {}
-
-
+@cache
 def _normalizer_pair(w, m):
     """(f_m, u_m) with 1/(E(m), F(m)) = u_m f_m, u_m a unit and
-    f_m(0) = 1."""
-    m = check_datum(w, m)
-    key = (w.datum.label, w.word, m)
-    hit = _NORMALIZER_CACHE.get(key)
-    if hit is not None:
-        return hit
+    f_m(0) = 1; m is a checked datum tuple."""
     g = pairing_em_fn(w, m, m)
     if g.is_zero():
         raise ArithmeticError("degenerate PBW pairing at %s (convention bug)"
                               % render_datum(m))
     raw = RatScalar.one() / g
     u = _unit_part(raw)
-    out = (raw / u, u)
-    _NORMALIZER_CACHE[key] = out
-    return out
+    return raw / u, u
 
 
 def dual_pbw_normalizer(w, m):
@@ -326,28 +263,27 @@ def dual_pbw_normalizer(w, m):
     an element of 1 + qZ[q]; the unit is stripped here and folded into
     the F side by dual_f_monomial, keeping the pair biorthonormal.
     """
-    return _normalizer_pair(w, m)[0]
+    return _normalizer_pair(w, check_datum(w, m))[0]
 
 
 def dual_f_monomial(w, m):
     """The F-side element dual to E(m)* = f_m E(m): the mirrored braid
     monomial rescaled so that (E(m)*, dual_f_monomial(m)) = 1."""
-    return f_pbw_monomial(w, m).scale(_normalizer_pair(w, m)[1])
+    return f_pbw_monomial(w, m).scale(
+        _normalizer_pair(w, check_datum(w, m))[1])
 
 
 def pbw_coordinates(x, w):
-    """The expansion x = sum c_m E(m) via c_m = (x, F(m))/(E(m), F(m))."""
-    if x.is_zero():
-        return PBWExpansion(w, {})
-    comps = x.homogeneous_components()
+    """The expansion x = sum c_m E(m) via c_m = (x, F(m))/(E(m), F(m)),
+    as a dict {datum: RatScalar} of the nonzero coordinates."""
     coeffs = {}
-    for mu, comp in comps.items():
+    for mu, comp in x.homogeneous_components().items():
         for m in data_of_weight(w, mu):
             f, u = _normalizer_pair(w, m)
             c = pairing(comp, f_pbw_monomial(w, m)) * f * u
             if not c.is_zero():
                 coeffs[m] = c
-    return PBWExpansion(w, coeffs)
+    return coeffs
 
 
 # -- the d- and c-forms ------------------------------------------------------
@@ -392,17 +328,15 @@ def unit_datum(N, k):
     return tuple(1 if t == k - 1 else 0 for t in range(N))
 
 
-_STRAIGHTEN_CACHE = {}
-
-
 class StraighteningError(ArithmeticError):
     """Raised when a straightening relation fails to cancel its leading
     datum."""
 
 
+@cache
 def straighten_commutator(w, k, kp):
     """The lower-order part of the straightening of E_{beta_k} E_{beta_k'}
-    against its reversal (k < k').
+    against its reversal (k < k'), as a PBW coordinate dict.
 
     The leading datum e_k + e_k' is cancelled exactly (its coefficient in
     the reversed product is +-q^<beta_k, beta_k'> up to the sign noted in
@@ -410,31 +344,24 @@ def straighten_commutator(w, k, kp):
     """
     if not 1 <= k < kp <= len(w.word):
         raise ValueError("need 1 <= k < k' <= N, got (%d, %d)" % (k, kp))
-    key = (w.datum.label, w.word, k, kp)
-    hit = _STRAIGHTEN_CACHE.get(key)
-    if hit is not None:
-        return hit
     N = len(w.word)
     lead = tuple(1 if t in (k - 1, kp - 1) else 0 for t in range(N))
     forward = pbw_coordinates(root_vector(w, k) * root_vector(w, kp), w)
     backward = pbw_coordinates(root_vector(w, kp) * root_vector(w, k), w)
-    lead_f = forward.coeffs.get(lead, RatScalar.zero())
-    lead_b = backward.coeffs.get(lead, RatScalar.zero())
+    zero = RatScalar.zero()
+    lead_b = backward.get(lead, zero)
     if lead_b.is_zero():
         raise StraighteningError("straightening has no leading term")
-    ratio = lead_f / lead_b
+    ratio = forward.get(lead, zero) / lead_b
     coeffs = {}
-    for m in set(forward.coeffs) | set(backward.coeffs):
-        c = (forward.coeffs.get(m, RatScalar.zero())
-             - ratio * backward.coeffs.get(m, RatScalar.zero()))
+    for m in set(forward) | set(backward):
+        c = forward.get(m, zero) - ratio * backward.get(m, zero)
         if not c.is_zero():
             coeffs[m] = c
     if lead in coeffs:
         raise StraighteningError("leading datum %s survives straightening"
                                  % render_datum(lead))
-    out = PBWExpansion(w, coeffs)
-    _STRAIGHTEN_CACHE[key] = out
-    return out
+    return coeffs
 
 
 # -- products in PBW coordinates ----------------------------------------------
@@ -466,9 +393,7 @@ def _letter_factorial(w, m):
     return out
 
 
-_NORM_LETTERS_CACHE = {}
-
-
+@cache
 def _straighten_letters(w, letters):
     """PBW coordinates of E_{beta_{l_1}} ... E_{beta_{l_r}} for an arbitrary
     sequence of root indices, by repeated application of the straightening
@@ -476,39 +401,32 @@ def _straighten_letters(w, letters):
     - lower-order terms), k < k'.  Terminates since each step either removes
     an adjacent inversion or replaces a pair by strictly intermediate letters.
     """
-    key = (w.datum.label, w.word, letters)
-    hit = _NORM_LETTERS_CACHE.get(key)
-    if hit is not None:
-        return hit
     pos = next((i for i in range(len(letters) - 1)
                 if letters[i] > letters[i + 1]), None)
     if pos is None:
         m = _datum_of_letters(len(w.word), letters)
-        out = {m: _letter_factorial(w, m)}
-    else:
-        x, y = letters[pos], letters[pos + 1]
-        pre, suf = letters[:pos], letters[pos + 2:]
-        unit = RatScalar.q_power(-int(form(w.betas[x - 1], w.betas[y - 1])))
-        acc = {}
+        return {m: _letter_factorial(w, m)}
+    x, y = letters[pos], letters[pos + 1]
+    pre, suf = letters[:pos], letters[pos + 2:]
+    unit = RatScalar.q_power(-int(form(w.betas[x - 1], w.betas[y - 1])))
+    acc = {}
 
-        def add(d, c):
-            r = acc.get(d)
-            r = c if r is None else r + c
-            if r.is_zero():
-                acc.pop(d, None)
-            else:
-                acc[d] = r
+    def add(d, c):
+        r = acc.get(d)
+        r = c if r is None else r + c
+        if r.is_zero():
+            acc.pop(d, None)
+        else:
+            acc[d] = r
 
-        for d, c in _straighten_letters(w, pre + (y, x) + suf).items():
-            add(d, unit * c)
-        for sm, sc in straighten_commutator(w, y, x).coeffs.items():
-            corr = unit * sc / _letter_factorial(w, sm)
-            sub = pre + _letters_of_datum(sm) + suf
-            for d, c in _straighten_letters(w, sub).items():
-                add(d, -(corr * c))
-        out = acc
-    _NORM_LETTERS_CACHE[key] = out
-    return out
+    for d, c in _straighten_letters(w, pre + (y, x) + suf).items():
+        add(d, unit * c)
+    for sm, sc in straighten_commutator(w, y, x).items():
+        corr = unit * sc / _letter_factorial(w, sm)
+        sub = pre + _letters_of_datum(sm) + suf
+        for d, c in _straighten_letters(w, sub).items():
+            add(d, -(corr * c))
+    return acc
 
 
 def pbw_product(w, ca, cb):
@@ -531,7 +449,38 @@ def pbw_product(w, ca, cb):
     return out
 
 
-_EXT_DOWNSET_CACHE = {}
+@cache
+def _ext_downsets(w, mu):
+    """Map each datum of weight mu to the frozenset of data below it in
+    the Ext order: the reachability closure of the covering moves."""
+    N = len(w.word)
+    nodes = data_of_weight(w, mu)
+    # covering moves: replace a pair (e_k, e_k') inside n by any
+    # element of the straightening support
+    succ = {n: set() for n in nodes}
+    for n in nodes:
+        occupied = [k for k in range(1, N + 1) if n[k - 1] > 0]
+        for ai, k in enumerate(occupied):
+            for kp in occupied[ai + 1:]:
+                rem = list(n)
+                rem[k - 1] -= 1
+                rem[kp - 1] -= 1
+                for s in straighten_commutator(w, k, kp):
+                    succ[n].add(tuple(r + sc for r, sc in zip(rem, s)))
+    down = {}
+
+    def close(n):
+        if n in down:
+            return down[n]
+        acc = {n}
+        for t in succ[n]:
+            acc |= close(t)
+        down[n] = frozenset(acc)
+        return down[n]
+
+    for n in nodes:
+        close(n)
+    return down
 
 
 class ExtOrder:
@@ -540,43 +489,6 @@ class ExtOrder:
 
     def __init__(self, w):
         self.w = w
-
-    def _downsets(self, mu):
-        key = (self.w.datum.label, self.w.word, tuple(mu))
-        hit = _EXT_DOWNSET_CACHE.get(key)
-        if hit is not None:
-            return hit
-        w = self.w
-        N = len(w.word)
-        nodes = data_of_weight(w, mu)
-        # covering moves: replace a pair (e_k, e_k') inside n by any
-        # element of the straightening support
-        succ = {n: set() for n in nodes}
-        for n in nodes:
-            occupied = [k for k in range(1, N + 1) if n[k - 1] > 0]
-            for ai, k in enumerate(occupied):
-                for kp in occupied[ai + 1:]:
-                    rem = list(n)
-                    rem[k - 1] -= 1
-                    rem[kp - 1] -= 1
-                    for s in straighten_commutator(w, k, kp).support():
-                        target = tuple(r + sc for r, sc in zip(rem, s))
-                        succ[n].add(target)
-        down = {}
-
-        def close(n):
-            if n in down:
-                return down[n]
-            acc = {n}
-            for t in succ[n]:
-                acc |= close(t)
-            down[n] = frozenset(acc)
-            return down[n]
-
-        for n in nodes:
-            close(n)
-        _EXT_DOWNSET_CACHE[key] = down
-        return down
 
     def leq(self, m, n):
         """m is below n (reachable by straightening moves), same weight."""
@@ -587,7 +499,7 @@ class ExtOrder:
         mu = datum_weight(self.w, n).root_coords_int()
         if datum_weight(self.w, m).root_coords_int() != mu:
             return False
-        return m in self._downsets(mu)[n]
+        return m in _ext_downsets(self.w, mu)[n]
 
 
 def ext_order(w):

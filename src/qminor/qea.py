@@ -7,9 +7,11 @@ of the weight (the pairing is nondegenerate) — never by rewriting
 modulo the quantum Serre relations, so no Groebner machinery appears.
 
 The Hopf pairing follows one fixed convention, stated where it is used
-(generator_pairing, _pairing_core, pairing).  The memo caches are plain
-module dicts that live as long as the process.
+(generator_pairing, _pairing_core, pairing).  The memos are
+functools.cache wrappers that live as long as the process.
 """
+
+from functools import cache
 
 from .scalars import (LaurentPoly, RatScalar, ZERO, ONE,
                       quantum_factorial, quantum_binomial)
@@ -317,14 +319,6 @@ class WordExpr:
 UPlusExpr = WordExpr
 
 
-def eta(x):
-    return x.eta()
-
-
-def sigma(x):
-    return x.sigma()
-
-
 def sigma_eta(x):
     return x.sigma_eta()
 
@@ -532,24 +526,16 @@ class TriExpr:
 
 # -- normal ordering (E past F) -----------------------------------------
 
-_PUSH_F_CACHE = {}
-
-
+@cache
 def _push_f(datum, eplain, b):
     """Rewrite (plain E-word) * F_b in normal order.
 
     Returns a tuple of (fplain, kvec, eplain, RatScalar) terms, using
     E_i F_j = F_j E_i + delta_ij (K_i - K_-i)/(q_i - q_i^{-1}).
     """
-    key = (datum.label, eplain, b)
-    hit = _PUSH_F_CACHE.get(key)
-    if hit is not None:
-        return hit
     zk = (0,) * datum.rank
     if not eplain:
-        out = (((b,), zk, (), RatScalar.one()),)
-        _PUSH_F_CACHE[key] = out
-        return out
+        return (((b,), zk, (), RatScalar.one()),)
     a = eplain[-1]
     head = eplain[:-1]
     terms = []
@@ -564,23 +550,15 @@ def _push_f(datum, eplain, b):
                       RatScalar(LaurentPoly.q_power(-pair), denom)))
         terms.append(((), _alpha_vec(datum, a, -1), head,
                       RatScalar(LaurentPoly.q_power(pair, -1), denom)))
-    out = tuple(terms)
-    _PUSH_F_CACHE[key] = out
-    return out
+    return tuple(terms)
 
 
-_NORMAL_ORDER_CACHE = {}
-
-
+@cache
 def _normal_order(datum, eplain, fplain):
     """(plain E-word) * (plain F-word) in normal order F * K * E.
 
     Returns a tuple of (fplain, kvec, eplain, RatScalar) terms.
     """
-    key = (datum.label, eplain, fplain)
-    hit = _NORMAL_ORDER_CACHE.get(key)
-    if hit is not None:
-        return hit
     zk = (0,) * datum.rank
     acc = {((), zk, eplain): RatScalar.one()}
     for b in fplain:
@@ -597,9 +575,7 @@ def _normal_order(datum, eplain, fplain):
                 else:
                     nxt[nk] = s
         acc = nxt
-    out = tuple((f, k, h, c) for (f, k, h), c in acc.items())
-    _NORMAL_ORDER_CACHE[key] = out
-    return out
+    return tuple((f, k, h, c) for (f, k, h), c in acc.items())
 
 
 def tri_mul(x, y):
@@ -634,9 +610,7 @@ def tri_mul(x, y):
 
 # -- the Hopf pairing ----------------------------------------------------
 
-_CORE_CACHE = {}
-
-
+@cache
 def _pairing_core(datum, eplain, fplain):
     """The q-power part of (E-word, F-word): the full pairing with the
     generator factor prod_a (E_a, F_a) divided out.  A Laurent polynomial.
@@ -644,15 +618,9 @@ def _pairing_core(datum, eplain, fplain):
     Coproduct: Delta(E_i) = E_i x 1 + K_i x E_i,
     Delta(F_i) = F_i x K_-i + 1 x F_i.
     """
-    key = (datum.label, eplain, fplain)
-    hit = _CORE_CACHE.get(key)
-    if hit is not None:
-        return hit
     if sorted(eplain) != sorted(fplain):
-        _CORE_CACHE[key] = ZERO
         return ZERO
     if not eplain:
-        _CORE_CACHE[key] = ONE
         return ONE
     a = eplain[0]
     rest = eplain[1:]
@@ -665,7 +633,6 @@ def _pairing_core(datum, eplain, fplain):
             if not sub.is_zero():
                 total = total + sub.shift(run)
         run -= row[b - 1]
-    _CORE_CACHE[key] = total
     return total
 
 

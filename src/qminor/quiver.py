@@ -10,9 +10,10 @@ recursion eps(M, N) = <dim M, dim N> + eps(N, tau M).
 import random
 
 from .rootdata import (ReducedWord, num_positive_roots, weyl_act, form,
-                       weights_up_to)
+                       weights_up_to, reduced_completion)
 from .pbw import (d_form, datum_weight, data_of_weight, unit_datum,
                   ext_order)
+from .canonical import flag_minor_datum
 
 
 class NotASink(ValueError):
@@ -206,7 +207,6 @@ def check_monotone(o, w, k, height_bound):
     """Verify (a) d(n_k, m) = eps(iota^{-1}(m), M_k) for all m up to the
     height bound, and (b) d(n_k, .) is non-decreasing along the Ext order;
     n_k is the flag-minor datum of the length-k prefix.  Returns failures."""
-    from .canonical import flag_minor_datum
     N = len(w.word)
     nk = flag_minor_datum(w, k)
     mk = unit_datum(N, k)
@@ -252,5 +252,4 @@ def typeA_flag_word(datum, rows):
 
 
 def _complete(datum, prefix):
-    from .rootdata import reduced_completion
     return reduced_completion(ReducedWord(datum, prefix))

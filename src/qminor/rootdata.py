@@ -7,7 +7,7 @@ the branch vertex adjacent to 1, 3 and 4.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import product
 
 
@@ -254,9 +254,6 @@ class ReducedWord:
     def __hash__(self):
         return hash((self.datum.label, self.word))
 
-    def prefix(self, k):
-        return ReducedWord(self.datum, self.word[:k])
-
     def inversion_set(self):
         """The set of positive roots sent negative; canonical for the
         underlying Weyl element."""
@@ -292,7 +289,7 @@ def beta_sequence(w):
     return w.betas
 
 
-@lru_cache(maxsize=None)
+@cache
 def positive_roots(datum):
     """R+ via closure under simple reflections from the simple roots."""
     roots = {datum.alpha(i) for i in datum.indices}
@@ -313,7 +310,7 @@ def num_positive_roots(datum):
     return len(positive_roots(datum))
 
 
-@lru_cache(maxsize=None)
+@cache
 def longest_word(datum):
     """The lexicographically smallest reduced word for w_0.
 
@@ -332,7 +329,7 @@ def longest_word(datum):
     return ReducedWord(datum, word)
 
 
-@lru_cache(maxsize=None)
+@cache
 def dual_vertex(datum, i):
     """The index i* with w_0(alpha_i) = -alpha_{i*}."""
     w0 = longest_word(datum)

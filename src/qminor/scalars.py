@@ -462,11 +462,6 @@ def _as_rat(x):
     raise TypeError("cannot coerce %r to RatScalar" % (x,))
 
 
-def bar(s):
-    """q -> q^-1 on a RatScalar or LaurentPoly."""
-    return s.bar()
-
-
 # -- quantum integers -------------------------------------------------
 
 def quantum_integer(k, norm):

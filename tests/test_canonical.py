@@ -8,7 +8,8 @@ from qminor.rootdata import (CartanDatum, ReducedWord, longest_word, form,
                              Vec, weyl_act)
 from qminor.qea import WordExpr, expr_equal, sigma_eta
 from qminor.pbw import (pbw_monomial, dual_pbw_normalizer, data_of_weight,
-                        rlex_less, datum_weight, pbw_coordinates)
+                        rlex_less, datum_weight, pbw_coordinates,
+                        straighten_commutator)
 from qminor.canonical import (dual_pbw_element, dual_pbw_expansion,
                               from_dual_pbw, sigma_eta_dual_coords,
                               eigen_scalar, bar_matrix, dual_canonical_basis,
@@ -219,3 +220,24 @@ def test_basis_element_json_shape():
     assert obj["weight"] == [1, 1]
     assert obj["dual_pbw"]["[1,0,1]"] == "1"
     assert obj["dual_pbw"]["[0,1,0]"] == "q"
+
+
+# -- memoization ---------------------------------------------------------------
+
+def test_memo_normalizes_inputs_before_the_cache():
+    # Equal inputs of different types share one cached object, equal words
+    # share results, and bad input raises on every call (nothing cached).
+    for fn in (dual_canonical_basis, bar_matrix):
+        first = fn([1, 1], W_A2)
+        assert fn((1, 1), W_A2) is first
+        assert fn(Vec(A2, (1, 1)), W_A2) is first
+    for fn in (pbw_monomial, dual_pbw_normalizer):
+        assert fn(W_A2, [1, 0, 1]) is fn(W_A2, (1, 0, 1))
+    w1, w2 = ReducedWord(A2, (1, 2, 1)), ReducedWord(A2, (1, 2, 1))
+    assert w1 is not w2
+    assert straighten_commutator(w1, 1, 3) is straighten_commutator(w2, 1, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            straighten_commutator(w1, 2, 1)
+        with pytest.raises(ValueError):
+            pbw_monomial(w1, (1, -1, 0))
