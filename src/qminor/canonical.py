@@ -10,13 +10,13 @@ recursion over the right-lexicographic order.
 
 from functools import cache
 
-from .scalars import LaurentPoly, RatScalar, quantum_factorial
+from .scalars import LaurentPoly, RatScalar
 from .rootdata import Vec, form, weyl_act
-from .qea import WordExpr, pairing
-from .pbw import (pbw_monomial, dual_pbw_normalizer, dual_f_monomial,
-                  data_of_weight, check_datum, datum_weight,
-                  render_datum, rlex_less, root_vector, pbw_coordinates,
-                  pbw_product)
+from .qea import WordExpr
+from .pbw import (pbw_monomial, dual_pbw_normalizer, data_of_weight,
+                  check_datum, datum_weight, render_datum, rlex_less,
+                  root_vector, pbw_coordinates, pbw_product,
+                  _letter_factorial)
 
 
 class NotUnitriangular(ArithmeticError):
@@ -36,16 +36,7 @@ def dual_pbw_element(w, m):
 
 def dual_pbw_expansion(x, w):
     """Coordinates of x in the dual PBW basis {E(m)*}."""
-    if x.is_zero():
-        return {}
-    out = {}
-    for mu, comp in x.homogeneous_components().items():
-        for m in data_of_weight(w, mu):
-            # (x, dual_f(m)) is exactly the E(m)*-coordinate
-            c = pairing(comp, dual_f_monomial(w, m))
-            if not c.is_zero():
-                out[m] = c
-    return out
+    return pbw_to_dual_coords(w, pbw_coordinates(x, w))
 
 
 def from_dual_pbw(w, coords):
@@ -84,26 +75,18 @@ def _sigma_eta_root_coords(w, k):
     return pbw_coordinates(root_vector(w, k).sigma_eta(), w)
 
 
-@cache
 def _sigma_eta_pbw_monomial(w, n):
     """PBW coordinates of sigma_eta(E(n)).  sigma_eta is a bar-linear
     antiautomorphism, so the image is the descending product of the
-    sigma_eta(E_{beta_k})^{m_k}/[m_k]! factors, assembled by straightening."""
+    sigma_eta(E_{beta_k})^{n_k} factors, assembled by straightening,
+    divided by prod_k [n_k]!."""
     N = len(w.word)
     out = {(0,) * N: RatScalar.one()}
     for k in range(N, 0, -1):
-        c = n[k - 1]
-        if not c:
-            continue
-        factor = _sigma_eta_root_coords(w, k)
-        for _ in range(c):
-            out = pbw_product(w, out, factor)
-        if c > 1:
-            beta = w.betas[k - 1]
-            fact = RatScalar.from_laurent(
-                quantum_factorial(c, int(form(beta, beta))))
-            out = {m: v / fact for m, v in out.items()}
-    return out
+        for _ in range(n[k - 1]):
+            out = pbw_product(w, out, _sigma_eta_root_coords(w, k))
+    fact = _letter_factorial(w, n)
+    return {m: v / fact for m, v in out.items()}
 
 
 def sigma_eta_dual_coords(w, coords):
@@ -166,11 +149,6 @@ def bar_matrix(mu, w):
     """Entries r[m][n] of x -> s_mu^{-1} sigma(eta(x)) on the dual PBW
     basis of the weight space; unitriangular for rlex with unit diagonal.
     """
-    return _bar_matrix(_weight_tuple(mu), w)
-
-
-@cache
-def _bar_matrix(mu, w):
     s_inv = RatScalar.one() / eigen_scalar(w.datum, mu)
     data = data_of_weight(w, mu)
     R = {}

@@ -6,7 +6,8 @@ test suite both dispatch here.
 
 from .scalars import RatScalar
 from .rootdata import (CartanDatum, ReducedWord, Vec, form, weyl_act,
-                       longest_word, weights_up_to, reduced_completion)
+                       longest_word, weights_up_to, reduced_completion,
+                       reduced_word_for_w0)
 from .qea import (WordExpr, TriExpr, pairing, canonical_form, serre_element,
                   _alpha_vec)
 from . import pbw, canonical, quiver, mult
@@ -86,7 +87,8 @@ def check_biorthogonality(label, height_bound, words=None):
 
 
 def check_normalizers(label, height_bound, words=None):
-    """f_m(0) = 1 and bar(f_m) = +-q^a f_m on every datum in range."""
+    """f_m(0) = 1, bar(f_m) = +-q^a f_m and (E(m), F(m)) f_m = +-q^a on
+    every datum in range."""
     datum = CartanDatum(label)
     failures = []
     for w in (words or standard_words(datum)):
@@ -100,6 +102,9 @@ def check_normalizers(label, height_bound, words=None):
                 rl = r.as_laurent().coeffs
                 if len(rl) != 1 or abs(next(iter(rl.values()))) != 1:
                     failures.append([list(w.word), list(m), "bar"])
+                g = pbw.pairing_em_fn(w, m, m) * f
+                if g.is_q_power() is None and (-g).is_q_power() is None:
+                    failures.append([list(w.word), list(m), "pairing"])
     return _report(label, failures)
 
 
@@ -342,6 +347,5 @@ SUITES = {
 
 def _words(args):
     if getattr(args, "word", None):
-        datum = CartanDatum(args.type)
-        return [ReducedWord(datum, args.word)]
+        return [reduced_word_for_w0(CartanDatum(args.type), args.word)]
     return None

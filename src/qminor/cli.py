@@ -13,7 +13,7 @@ import json
 import sys
 
 from .scalars import RatScalar
-from .rootdata import CartanDatum, ReducedWord, longest_word, NotReduced
+from .rootdata import CartanDatum, longest_word, reduced_word_for_w0
 from .qea import WordExpr
 from . import pbw, canonical, quiver, mult, checks
 
@@ -237,13 +237,8 @@ def _height_arg(text):
 def _resolve(args):
     datum = CartanDatum(args.type)
     if getattr(args, "word", None):
-        w = ReducedWord(datum, args.word)
-        if len(w.word) != len(longest_word(datum).word):
-            raise NotReduced("word %s is not a reduced word for w_0"
-                             % list(w.word))
-    else:
-        w = longest_word(datum)
-    return datum, w
+        return datum, reduced_word_for_w0(datum, args.word)
+    return datum, longest_word(datum)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -282,6 +277,8 @@ def _cmd_basis(args):
     if len(mu) != datum.rank:
         raise ValueError("weight %s needs %d entries for %s"
                          % (args.weight, datum.rank, datum.label))
+    if any(c < 0 for c in mu):
+        raise ValueError("weight %s has a negative entry" % args.weight)
     basis = canonical.dual_canonical_basis(mu, w)
     elements = [canonical.basis_element_json(w, n)
                 for n in pbw.data_of_weight(w, mu)]
@@ -421,7 +418,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, NotReduced, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # includes ParseError, NotReduced
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except Exception as exc:

@@ -11,11 +11,10 @@ PBW straightening in coordinates.
 
 from .scalars import RatScalar
 from .rootdata import weights_up_to
-from .pbw import (d_form, datum_weight, data_of_weight, render_datum,
-                  pbw_coordinates)
+from .pbw import d_form, datum_weight, data_of_weight, render_datum
 from .canonical import (dual_canonical_basis, expand_dual_canonical_coords,
                         dual_product, coords_congruent_mod_qL,
-                        flag_minor_datum, pbw_to_dual_coords)
+                        flag_minor_datum, dual_pbw_expansion)
 from .quiver import adapted_word
 
 
@@ -23,10 +22,6 @@ def _dual_can_coords(w, m):
     """B(m)* in dual-PBW coordinates."""
     mu = datum_weight(w, m).root_coords_int()
     return dual_canonical_basis(mu, w)[m]
-
-
-def _scale(coords, c):
-    return {m: v * c for m, v in coords.items()}
 
 
 def q_commute_exponent_coords(w, ca, cb):
@@ -50,9 +45,8 @@ def q_commute_exponent_coords(w, ca, cb):
 
 def q_commute_exponent(b, bp, w):
     """The exponent for two UPlusExprs (homogeneous), via PBW coordinates."""
-    ca = pbw_to_dual_coords(w, pbw_coordinates(b, w))
-    cb = pbw_to_dual_coords(w, pbw_coordinates(bp, w))
-    return q_commute_exponent_coords(w, ca, cb)
+    return q_commute_exponent_coords(w, dual_pbw_expansion(b, w),
+                                     dual_pbw_expansion(bp, w))
 
 
 def is_multiplicative(w, m, mp):
@@ -73,7 +67,8 @@ def is_multiplicative(w, m, mp):
 def check_511(w, m, mp):
     """True iff q^{d(m,mp)} B(m)* B(mp)* = B(m+mp)* mod qL*."""
     prod = dual_product(w, _dual_can_coords(w, m), _dual_can_coords(w, mp))
-    lhs = _scale(prod, RatScalar.q_power(d_form(w, m, mp)))
+    unit = RatScalar.q_power(d_form(w, m, mp))
+    lhs = {n: v * unit for n, v in prod.items()}
     target = tuple(a + b for a, b in zip(m, mp))
     return coords_congruent_mod_qL(lhs, _dual_can_coords(w, target))
 

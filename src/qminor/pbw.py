@@ -6,7 +6,9 @@ w_0; the PBW monomial is E(m) = E_{beta_1}^{(m_1)} ... E_{beta_N}^{(m_N)}
 with root vectors E_{beta_k} = T_{i_1} ... T_{i_{k-1}}(E_{i_k}).
 Coordinates of arbitrary elements are computed through the Hopf pairing
 against the mirrored F-side monomials (biorthogonality), never by
-word rewriting.
+word rewriting.  The dual PBW normalizers f_m come from Lusztig's
+product formula for (E(m), F(m)); only their units u_m are read off the
+pairing, one single-root pairing per (word, k).
 """
 
 from functools import cache
@@ -185,12 +187,18 @@ def _monomial(w, m, side):
     return out
 
 
+def _root_norm(w, k):
+    """(beta_k, beta_k) as an int."""
+    beta = w.betas[k - 1]
+    return int(form(beta, beta))
+
+
 def _divided_root_power(w, k, c, side):
     rv = root_vector(w, k) if side == "E" else f_root_vector(w, k)
     out = rv ** c
     if c > 1:
-        beta = w.betas[k - 1]
-        out = out.scale(RatScalar(ONE, quantum_factorial(c, int(form(beta, beta)))))
+        out = out.scale(
+            RatScalar(ONE, quantum_factorial(c, _root_norm(w, k))))
     return out
 
 
@@ -229,39 +237,47 @@ def pairing_em_fn(w, m, n):
     return pairing(pbw_monomial(w, m), f_pbw_monomial(w, n))
 
 
-def _unit_part(r):
-    """Write a nonzero RatScalar as (+-q^a) * (element of 1 + qZ[[q]]);
-    return the unit +-q^a as a RatScalar."""
-    if r.is_zero():
-        raise ValueError("zero scalar has no unit part")
-    a = r.num.min_exp() - r.den.min_exp()
-    c = r.num.coeff(r.num.min_exp())
-    d = r.den.coeff(r.den.min_exp())
-    if c % d != 0 or abs(c // d) != 1:
-        raise ArithmeticError("leading coefficient of %s is not a unit"
-                              % r.render())
-    return RatScalar.q_power(a, c // d)
+class NotAUnit(ArithmeticError):
+    """A single-root pairing unit u_k is not +-q^a (convention bug)."""
+
+
+@cache
+def _root_pairing_unit(w, k):
+    """u_k = 1/((E_{beta_k}, F_{beta_k}) (1 - q^{(beta_k, beta_k)})), from
+    the single-root pairing; raises NotAUnit unless it is +-q^a."""
+    e = unit_datum(len(w.word), k)
+    d = pairing_em_fn(w, e, e) * RatScalar.from_laurent(
+        ONE - LaurentPoly.q_power(_root_norm(w, k)))
+    if d.is_q_power() is None and (-d).is_q_power() is None:
+        raise NotAUnit("(E, F) (1 - q^(beta, beta)) at root %d of %s is %s"
+                       % (k, w.render(), d.render()))
+    return RatScalar.one() / d
 
 
 @cache
 def _normalizer_pair(w, m):
-    """(f_m, u_m) with 1/(E(m), F(m)) = u_m f_m, u_m a unit and
-    f_m(0) = 1; m is a checked datum tuple."""
-    g = pairing_em_fn(w, m, m)
-    if g.is_zero():
-        raise ArithmeticError("degenerate PBW pairing at %s (convention bug)"
-                              % render_datum(m))
-    raw = RatScalar.one() / g
-    u = _unit_part(raw)
-    return raw / u, u
+    """(f_m, u_m) with 1/(E(m), F(m)) = u_m f_m; m is a checked datum tuple.
+
+    Lusztig's product formula (Introduction to Quantum Groups, 38.2.3)
+    gives f_m = prod_k prod_{s=1..m_k} (1 - q^{s (beta_k, beta_k)}), so
+    f_m(0) = 1, and u_m = prod_k u_k^{m_k} with u_k the single-root unit.
+    """
+    f = ONE
+    u = RatScalar.one()
+    for k, c in enumerate(m, start=1):
+        if c:
+            for s in range(1, c + 1):
+                f = f * (ONE - LaurentPoly.q_power(s * _root_norm(w, k)))
+            u = u * _root_pairing_unit(w, k) ** c
+    return RatScalar.from_laurent(f), u
 
 
 def dual_pbw_normalizer(w, m):
     """f_m with E(m)* = f_m E(m) and f_m(0) = 1.
 
-    The reciprocal diagonal pairing 1/(E(m), F(m)) is a unit +-q^a times
-    an element of 1 + qZ[q]; the unit is stripped here and folded into
-    the F side by dual_f_monomial, keeping the pair biorthonormal.
+    f_m is the product formula part of 1/(E(m), F(m)) = u_m f_m; the unit
+    u_m = +-q^a is folded into the F side by dual_f_monomial, keeping the
+    pair biorthonormal.
     """
     return _normalizer_pair(w, check_datum(w, m))[0]
 
@@ -387,9 +403,8 @@ def _letter_factorial(w, m):
     out = RatScalar.one()
     for k, c in enumerate(m, start=1):
         if c > 1:
-            beta = w.betas[k - 1]
             out = out * RatScalar.from_laurent(
-                quantum_factorial(c, int(form(beta, beta))))
+                quantum_factorial(c, _root_norm(w, k)))
     return out
 
 

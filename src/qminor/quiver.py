@@ -29,7 +29,7 @@ class Orientation:
         if not datum.is_simply_laced():
             raise ValueError("quiver orientations require a simply-laced "
                              "type, not %s" % datum.label)
-        arrows = frozenset((int(a), int(b)) for a, b in arrows)
+        arrows = [(int(a), int(b)) for a, b in arrows]
         edges = dynkin_edges(datum)
         got = frozenset(frozenset(e) for e in arrows)
         want = frozenset(frozenset(e) for e in edges)
@@ -40,7 +40,7 @@ class Orientation:
             raise ValueError("duplicate edge among arrows %s"
                              % sorted(arrows))
         self.datum = datum
-        self.arrows = arrows
+        self.arrows = frozenset(arrows)
 
     def is_sink(self, i):
         return not any(a == i for a, _ in self.arrows)

@@ -347,6 +347,16 @@ def weights_up_to(datum, bound):
             if 0 < sum(mu) <= bound]
 
 
+def reduced_word_for_w0(datum, word):
+    """The ReducedWord of word; raises NotReduced unless it is a reduced
+    word for w_0."""
+    w = ReducedWord(datum, word)
+    if len(w.word) != num_positive_roots(datum):
+        raise NotReduced("word %s is not a reduced word for w_0"
+                         % list(w.word))
+    return w
+
+
 def is_reduced(datum, word):
     try:
         ReducedWord(datum, word)

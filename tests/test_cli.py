@@ -192,6 +192,23 @@ def test_vacuous_height_is_a_usage_error(argv, capsys):
     assert "height must be >= 1" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "prop21", "--type", "A2", "--word", "1,2"],
+     "error: word [1, 2] is not a reduced word for w_0\n"),
+    (["check", "cor22", "--type", "A2", "--word", "1", "--height", "2"],
+     "error: word [1] is not a reduced word for w_0\n"),
+    (["basis", "--type", "A2", "--weight=-1,2"],
+     "error: weight -1,2 has a negative entry\n"),
+    (["mult-scan", "--type", "A2", "--orientation", "1>2,1>2",
+      "--height", "2"],
+     "error: duplicate edge among arrows [(1, 2), (1, 2)]\n"),
+])
+def test_invalid_input_is_a_usage_error(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == message
+
+
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "out.json"
     code, out, err = run_cli(["rootdata", "--type", "A2",

@@ -5,6 +5,8 @@ import itertools
 
 import pytest
 
+import qminor.pbw
+
 from qminor.scalars import RatScalar, LaurentPoly
 from qminor.rootdata import CartanDatum, ReducedWord, longest_word, form
 from qminor.qea import (WordExpr, TriExpr, serre_element, expr_equal,
@@ -14,8 +16,10 @@ from qminor.pbw import (braid_T, root_vector, f_root_vector, pbw_monomial,
                         pairing_em_fn, dual_pbw_normalizer, dual_f_monomial,
                         d_form, c_form, rlex_less, unit_datum,
                         straighten_commutator, ext_order, pbw_product,
-                        datum_weight, render_datum, _normalizer_pair)
+                        datum_weight, render_datum, _normalizer_pair,
+                        _root_pairing_unit, NotAUnit)
 from qminor.checks import standard_words, weights_up_to
+from qminor.quiver import adapted_word, all_orientations
 
 A2 = CartanDatum("A2")
 A3 = CartanDatum("A3")
@@ -158,18 +162,45 @@ def test_dual_normalizer_examples():
     assert f1.eval_at_zero() == 1
 
 
-@pytest.mark.parametrize("label", ["A2", "B2", "A3"])
+def _assert_normalizers_match_pairing(w, height):
+    # 1/(E(m), F(m)) = u_m f_m with u_m = +-q^a and f_m(0) = 1: the
+    # product formula and single-root units against the full pairing.
+    for mu in weights_up_to(w.datum, height):
+        for m in data_of_weight(w, mu):
+            f, u = _normalizer_pair(w, m)
+            assert RatScalar.one() / pairing_em_fn(w, m, m) == u * f, m
+            assert f.eval_at_zero() == 1
+            assert u.is_q_power() is not None \
+                or (-u).is_q_power() is not None
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "A3", "A4", "D4"])
 def test_normalizer_pair_splits_reciprocal_pairing(label):
-    # 1/(E(m), F(m)) = u_m f_m with u_m = +-q^a and f_m(0) = 1.
     datum = CartanDatum(label)
-    for w in standard_words(datum):
-        for mu in weights_up_to(datum, 2):
-            for m in data_of_weight(w, mu):
-                f, u = _normalizer_pair(w, m)
-                assert RatScalar.one() / pairing_em_fn(w, m, m) == u * f
-                assert f.eval_at_zero() == 1
-                assert u.is_q_power() is not None \
-                    or (-u).is_q_power() is not None
+    height = {"A2": 4, "B2": 4, "A3": 3}.get(label, 2)
+    words = standard_words(datum)
+    if datum.is_simply_laced():
+        words += [adapted_word(o) for o in all_orientations(datum)]
+    for w in {w.word: w for w in words}.values():
+        _assert_normalizers_match_pairing(w, height)
+
+
+@pytest.mark.parametrize("label, height", [("A2", 6), ("A3", 4)])
+def test_normalizer_pair_at_scan_weights(label, height):
+    # the weights that the multiplicativity scans reach
+    _assert_normalizers_match_pairing(longest_word(CartanDatum(label)),
+                                      height)
+
+
+def test_root_pairing_unit_must_be_a_unit(monkeypatch):
+    monkeypatch.setattr(qminor.pbw, "pairing_em_fn",
+                        lambda w, m, n: RatScalar.q_power(0, 2))
+    _root_pairing_unit.cache_clear()
+    try:
+        with pytest.raises(NotAUnit):
+            _root_pairing_unit(W_A2, 1)
+    finally:
+        _root_pairing_unit.cache_clear()
 
 
 def test_dual_normalizer_biorthonormality():
