@@ -275,18 +275,10 @@ def _normalizer_pair(w, m):
 def dual_pbw_normalizer(w, m):
     """f_m with E(m)* = f_m E(m) and f_m(0) = 1.
 
-    f_m is the product formula part of 1/(E(m), F(m)) = u_m f_m; the unit
-    u_m = +-q^a is folded into the F side by dual_f_monomial, keeping the
-    pair biorthonormal.
+    f_m is the product formula part of 1/(E(m), F(m)) = u_m f_m; with the
+    unit u_m = +-q^a on the F side, (E(m)*, u_m F(m)) = 1.
     """
     return _normalizer_pair(w, check_datum(w, m))[0]
-
-
-def dual_f_monomial(w, m):
-    """The F-side element dual to E(m)* = f_m E(m): the mirrored braid
-    monomial rescaled so that (E(m)*, dual_f_monomial(m)) = 1."""
-    return f_pbw_monomial(w, m).scale(
-        _normalizer_pair(w, check_datum(w, m))[1])
 
 
 def pbw_coordinates(x, w):
@@ -345,39 +337,35 @@ def unit_datum(N, k):
 
 
 class StraighteningError(ArithmeticError):
-    """Raised when a straightening relation fails to cancel its leading
-    datum."""
+    """Raised when the reversed product of two root vectors does not have
+    the leading coefficient that the straightening law requires."""
 
 
 @cache
 def straighten_commutator(w, k, kp):
-    """The lower-order part of the straightening of E_{beta_k} E_{beta_k'}
-    against its reversal (k < k'), as a PBW coordinate dict.
+    """The lower-order part S of the straightening of E_{beta_k} E_{beta_k'}
+    against its reversal (k < k'), as a PBW coordinate dict:
+    E_{beta_k'} E_{beta_k} = q^{-(beta_k, beta_k')} (E_{beta_k} E_{beta_k'}
+    - sum_m S[m] E(m)).
 
-    The leading datum e_k + e_k' is cancelled exactly (its coefficient in
-    the reversed product is +-q^<beta_k, beta_k'> up to the sign noted in
-    the straightening law); the remaining support is strictly rlex-between.
+    E_{beta_k} E_{beta_k'} is the PBW monomial E(e_k + e_k'), so only the
+    reversed product is paired.  Its coefficient on e_k + e_k' must be
+    q^{-(beta_k, beta_k')}, else StraighteningError; the remaining support
+    lies strictly between k and k'.
     """
     if not 1 <= k < kp <= len(w.word):
         raise ValueError("need 1 <= k < k' <= N, got (%d, %d)" % (k, kp))
     N = len(w.word)
     lead = tuple(1 if t in (k - 1, kp - 1) else 0 for t in range(N))
-    forward = pbw_coordinates(root_vector(w, k) * root_vector(w, kp), w)
+    b = int(form(w.betas[k - 1], w.betas[kp - 1]))
     backward = pbw_coordinates(root_vector(w, kp) * root_vector(w, k), w)
-    zero = RatScalar.zero()
-    lead_b = backward.get(lead, zero)
-    if lead_b.is_zero():
-        raise StraighteningError("straightening has no leading term")
-    ratio = forward.get(lead, zero) / lead_b
-    coeffs = {}
-    for m in set(forward) | set(backward):
-        c = forward.get(m, zero) - ratio * backward.get(m, zero)
-        if not c.is_zero():
-            coeffs[m] = c
-    if lead in coeffs:
-        raise StraighteningError("leading datum %s survives straightening"
-                                 % render_datum(lead))
-    return coeffs
+    lead_b = backward.pop(lead, RatScalar.zero())
+    if lead_b != RatScalar.q_power(-b):
+        raise StraighteningError(
+            "coefficient of %s in E_%d E_%d of %s is %s, not q^%d"
+            % (render_datum(lead), kp, k, w.render(), lead_b.render(), -b))
+    scale = RatScalar.q_power(b, -1)
+    return {m: scale * c for m, c in backward.items()}
 
 
 # -- products in PBW coordinates ----------------------------------------------

@@ -641,10 +641,11 @@ def generator_pairing(datum, i):
     return RatScalar(ONE, LaurentPoly({0: 1, -2 * datum.d[i - 1]: -1}))
 
 
-def _content_pairing(datum, plain):
-    """prod over letters of (E_i, F_i)."""
+@cache
+def _content_pairing(datum, counts):
+    """prod_i (E_i, F_i)^{counts_i}, the generator factor of a pairing
+    between words with letter counts `counts`."""
     out = RatScalar.one()
-    counts = _wt_vec(datum, plain)
     for i, c in enumerate(counts, start=1):
         if c:
             out = out * generator_pairing(datum, i) ** c
@@ -657,6 +658,11 @@ def pairing(x, y):
     x: WordExpr (side E) or TriExpr with terms K_lambda * E-word;
     y: WordExpr (side F) or TriExpr with terms F-word * K_mu.
     The K parts pair as (K_lam, K_mu) = q^{-(lam, mu)}.
+
+    Each y-term is expanded to (plain word, K, coefficient) once.  For an
+    x-term, the q-power cores against the y-terms of its letter content
+    are summed first; the generator factor prod (E_i, F_i) multiplies
+    once per letter content.
     """
     if isinstance(x, WordExpr):
         if x.side != "E":
@@ -669,24 +675,31 @@ def pairing(x, y):
     datum = x.datum
     if datum is not y.datum:
         raise ValueError("pairing over different Cartan data")
-    total = RatScalar.zero()
+    ys = {}
+    for (f2, mu, e2), c2 in y.terms.items():
+        if e2:
+            raise ValueError("second pairing argument has E content")
+        pf = word_to_plain(f2)
+        ys.setdefault(_wt_vec(datum, pf), []).append(
+            (pf, mu, c2 * plain_factor(datum, f2)))
+    sums = {}
     for (f1, lam, e1), c1 in x.terms.items():
         if f1:
             raise ValueError("first pairing argument has F content")
         pe = word_to_plain(e1)
-        r1 = plain_factor(datum, e1)
-        for (f2, mu, e2), c2 in y.terms.items():
-            if e2:
-                raise ValueError("second pairing argument has E content")
-            pf = word_to_plain(f2)
+        counts = _wt_vec(datum, pe)
+        acc = RatScalar.zero()
+        for pf, mu, c2 in ys.get(counts, ()):
             core = _pairing_core(datum, pe, pf)
-            if core.is_zero():
-                continue
-            r2 = plain_factor(datum, f2)
-            kshift = -_form_int(datum, lam, mu)
-            val = (c1 * c2 * r1 * r2 * _content_pairing(datum, pe)
-                   * RatScalar.from_laurent(core.shift(kshift)))
-            total = total + val
+            if not core.is_zero():
+                acc = acc + c2 * RatScalar.from_laurent(
+                    core.shift(-_form_int(datum, lam, mu)))
+        if not acc.is_zero():
+            acc = acc * c1 * plain_factor(datum, e1)
+            sums[counts] = sums[counts] + acc if counts in sums else acc
+    total = RatScalar.zero()
+    for counts, val in sums.items():
+        total = total + val * _content_pairing(datum, counts)
     return total
 
 
@@ -734,7 +747,7 @@ def canonical_form(x):
         return CanonicalForm(datum, (0,) * datum.rank, {})
     mu = x.weight().root_coords_int()
     plain = x.plain_expansion()
-    content = _content_pairing(datum, next(iter(plain)))
+    content = _content_pairing(datum, mu)
     entries = {}
     for w in plain_words_of_weight(datum, mu):
         val = RatScalar.zero()

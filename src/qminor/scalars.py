@@ -98,10 +98,21 @@ class LaurentPoly:
         return _as_laurent(other) + (-self)
 
     def __mul__(self, other):
+        """The product.  A 1 operand returns the other one (values are
+        never mutated, so sharing is safe); a c q^k operand shifts and
+        scales it, which cannot create a zero coefficient."""
         other = _as_laurent(other)
+        x, y = ((self, other) if len(self.coeffs) <= len(other.coeffs)
+                else (other, self))
+        if len(x.coeffs) == 1:
+            ((k, c),) = x.coeffs.items()
+            if k == 0 and c == 1:
+                return y
+            return LaurentPoly._nonzero(
+                {e + k: c * v for e, v in y.coeffs.items()})
         res = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        for e1, c1 in x.coeffs.items():
+            for e2, c2 in y.coeffs.items():
                 e = e1 + e2
                 res[e] = res.get(e, 0) + c1 * c2
         return LaurentPoly(res)
@@ -332,6 +343,8 @@ class RatScalar:
 
     def __add__(self, other):
         other = _as_rat(other)
+        if self.den.is_one() and other.den.is_one():
+            return RatScalar(self.num + other.num, ONE, _reduced=True)
         return RatScalar(self.num * other.den + other.num * self.den,
                          self.den * other.den)
 
@@ -348,6 +361,8 @@ class RatScalar:
 
     def __mul__(self, other):
         other = _as_rat(other)
+        if self.den.is_one() and other.den.is_one():
+            return RatScalar(self.num * other.num, ONE, _reduced=True)
         return RatScalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -1,6 +1,9 @@
 """The named verification suites: structure of the reports and small
 exhaustive runs of each suite."""
 
+import qminor.pbw
+
+from qminor.scalars import LaurentPoly, RatScalar
 from qminor.rootdata import CartanDatum, ReducedWord, longest_word
 from qminor.checks import (standard_words, weights_up_to, check_serre,
                            check_pairing, check_biorthogonality,
@@ -51,6 +54,17 @@ def test_biorthogonality_small():
 def test_normalizers_small():
     r = check_normalizers("B2", 4)
     assert r["ok"], r["failures"]
+
+
+def test_normalizer_bar_failure_is_reported_not_raised(monkeypatch):
+    # 1 + 2q has f(0) = 1, but bar(f)/f = (q + 2)/(q (1 + 2q)) is not a
+    # Laurent polynomial
+    f = RatScalar.from_laurent(LaurentPoly({0: 1, 1: 2}))
+    monkeypatch.setattr(qminor.pbw, "dual_pbw_normalizer", lambda w, m: f)
+    r = check_normalizers("A2", 1)
+    assert not r["ok"]
+    assert [1, 2, 1] in [fl[0] for fl in r["failures"]]
+    assert {fl[2] for fl in r["failures"]} == {"bar", "pairing"}
 
 
 def test_prop21_suite():

@@ -13,11 +13,11 @@ from qminor.qea import (WordExpr, TriExpr, serre_element, expr_equal,
                         canonical_form, pairing)
 from qminor.pbw import (braid_T, root_vector, f_root_vector, pbw_monomial,
                         f_pbw_monomial, pbw_coordinates, data_of_weight,
-                        pairing_em_fn, dual_pbw_normalizer, dual_f_monomial,
+                        pairing_em_fn, dual_pbw_normalizer,
                         d_form, c_form, rlex_less, unit_datum,
                         straighten_commutator, ext_order, pbw_product,
                         datum_weight, render_datum, _normalizer_pair,
-                        _root_pairing_unit, NotAUnit)
+                        _root_pairing_unit, NotAUnit, StraighteningError)
 from qminor.checks import standard_words, weights_up_to
 from qminor.quiver import adapted_word, all_orientations
 
@@ -165,23 +165,30 @@ def test_dual_normalizer_examples():
 def _assert_normalizers_match_pairing(w, height):
     # 1/(E(m), F(m)) = u_m f_m with u_m = +-q^a and f_m(0) = 1: the
     # product formula and single-root units against the full pairing.
+    # E(m)* = f_m E(m) pairs to exactly 1 with the rescaled F(m).
     for mu in weights_up_to(w.datum, height):
         for m in data_of_weight(w, mu):
             f, u = _normalizer_pair(w, m)
             assert RatScalar.one() / pairing_em_fn(w, m, m) == u * f, m
+            assert pairing(pbw_monomial(w, m).scale(f),
+                           f_pbw_monomial(w, m).scale(u)) == RatScalar.one()
             assert f.eval_at_zero() == 1
             assert u.is_q_power() is not None \
                 or (-u).is_q_power() is not None
+
+
+def _standard_and_adapted_words(datum):
+    words = standard_words(datum)
+    if datum.is_simply_laced():
+        words += [adapted_word(o) for o in all_orientations(datum)]
+    return list({w.word: w for w in words}.values())
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "A3", "A4", "D4"])
 def test_normalizer_pair_splits_reciprocal_pairing(label):
     datum = CartanDatum(label)
     height = {"A2": 4, "B2": 4, "A3": 3}.get(label, 2)
-    words = standard_words(datum)
-    if datum.is_simply_laced():
-        words += [adapted_word(o) for o in all_orientations(datum)]
-    for w in {w.word: w for w in words}.values():
+    for w in _standard_and_adapted_words(datum):
         _assert_normalizers_match_pairing(w, height)
 
 
@@ -201,13 +208,6 @@ def test_root_pairing_unit_must_be_a_unit(monkeypatch):
             _root_pairing_unit(W_A2, 1)
     finally:
         _root_pairing_unit.cache_clear()
-
-
-def test_dual_normalizer_biorthonormality():
-    # (E(m)*, dual_f_monomial(m)) = 1 exactly, with E(m)* = f_m E(m).
-    for m in data_of_weight(W_A2, (1, 1)) + data_of_weight(W_A2, (2, 1)):
-        star = pbw_monomial(W_A2, m).scale(dual_pbw_normalizer(W_A2, m))
-        assert pairing(star, dual_f_monomial(W_A2, m)) == RatScalar.one()
 
 
 # -- bilinear forms on data ----------------------------------------------------
@@ -251,6 +251,53 @@ def test_straighten_commutator_examples():
     s13 = straighten_commutator(W_A2, 1, 3)
     assert set(s13) == {(0, 1, 0)}
     assert straighten_commutator(W_A2, 1, 2) == {}
+
+
+def _two_sweep_commutator(w, k, kp, lead):
+    """The straightening table from both products: (forward coordinates,
+    forward - ratio * backward with ratio cancelling the leading datum)."""
+    forward = pbw_coordinates(root_vector(w, k) * root_vector(w, kp), w)
+    backward = pbw_coordinates(root_vector(w, kp) * root_vector(w, k), w)
+    ratio = forward[lead] / backward[lead]
+    zero = RatScalar.zero()
+    coeffs = {}
+    for m in set(forward) | set(backward):
+        c = forward.get(m, zero) - ratio * backward.get(m, zero)
+        if not c.is_zero():
+            coeffs[m] = c
+    return forward, coeffs
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "A3"])
+def test_straighten_commutator_matches_two_sweeps(label):
+    # E_{b_k}E_{b_kp} is the monomial E(e_k + e_kp), so its coordinates
+    # are that datum alone; the one-sweep table equals the two-sweep one
+    # and is supported strictly between k and kp.
+    for w in _standard_and_adapted_words(CartanDatum(label)):
+        N = len(w)
+        for k in range(1, N + 1):
+            for kp in range(k + 1, N + 1):
+                lead = tuple(a + b for a, b in
+                             zip(unit_datum(N, k), unit_datum(N, kp)))
+                forward, coeffs = _two_sweep_commutator(w, k, kp, lead)
+                assert forward == {lead: RatScalar.one()}
+                assert straighten_commutator(w, k, kp) == coeffs
+                for m in coeffs:
+                    assert all(c == 0 for t, c in enumerate(m, start=1)
+                               if not k < t < kp), (w.word, k, kp, m)
+
+
+def test_wrong_leading_coefficient_raises(monkeypatch):
+    coords = qminor.pbw.pbw_coordinates
+    monkeypatch.setattr(
+        qminor.pbw, "pbw_coordinates",
+        lambda x, w: {m: c * 2 for m, c in coords(x, w).items()})
+    straighten_commutator.cache_clear()
+    try:
+        with pytest.raises(StraighteningError):
+            straighten_commutator(W_A2, 1, 3)
+    finally:
+        straighten_commutator.cache_clear()
 
 
 def test_straightening_matches_element_arithmetic():

@@ -7,7 +7,10 @@ from qminor.scalars import RatScalar, LaurentPoly
 from qminor.rootdata import CartanDatum
 from qminor.qea import (WordExpr, TriExpr, pairing, tri_mul, serre_element,
                         canonical_form, expr_equal, expr_is_zero,
-                        sigma_eta, generator_pairing)
+                        sigma_eta, generator_pairing, word_to_plain,
+                        plain_factor, _pairing_core, _form_int, _alpha_vec)
+from qminor.pbw import pbw_monomial, f_pbw_monomial, data_of_weight
+from qminor.checks import standard_words, weights_up_to
 
 A2 = CartanDatum("A2")
 A3 = CartanDatum("A3")
@@ -144,3 +147,73 @@ def test_canonical_form_separates():
 
 def test_canonical_form_of_zero():
     assert canonical_form(WordExpr.zero(A2)).is_zero()
+
+
+# -- the per-term-pair pairing loop, kept as the oracle -------------------------
+
+def _oracle_pairing(x, y):
+    """The Hopf pairing term pair by term pair: c1 c2, both plain-word
+    factors, the generator factor and the shifted core, for every
+    (x-term, y-term)."""
+    if isinstance(x, WordExpr):
+        x = TriExpr.from_word_expr(x)
+    if isinstance(y, WordExpr):
+        y = TriExpr.from_word_expr(y)
+    datum = x.datum
+    total = RatScalar.zero()
+    for (_, lam, e1), c1 in x.terms.items():
+        pe = word_to_plain(e1)
+        content = RatScalar.one()
+        for i in pe:
+            content = content * generator_pairing(datum, i)
+        for (f2, mu, _), c2 in y.terms.items():
+            core = _pairing_core(datum, pe, word_to_plain(f2))
+            if core.is_zero():
+                continue
+            total = total + (c1 * c2 * plain_factor(datum, e1)
+                             * plain_factor(datum, f2) * content
+                             * RatScalar.from_laurent(
+                                 core.shift(-_form_int(datum, lam, mu))))
+    return total
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "A3"])
+def test_pairing_matches_oracle_on_pbw_monomials(label):
+    datum = CartanDatum(label)
+    for w in standard_words(datum):
+        for mu in weights_up_to(datum, 3):
+            data = data_of_weight(w, mu)
+            for m in data:
+                for n in data:
+                    x = pbw_monomial(w, m)
+                    y = f_pbw_monomial(w, n)
+                    assert pairing(x, y) == _oracle_pairing(x, y), (m, n)
+
+
+def test_pairing_matches_oracle_off_weight_and_with_k_parts():
+    # a non-homogeneous x against a non-homogeneous y, with divided powers
+    x = (E(B2, 1, 2) * E(B2, 2) + E(B2, 2) * E(B2, 1).scale(qp(3))
+         + E(B2, 1) - E(B2, 2) * E(B2, 1, 2).scale(qp(-1, 2)))
+    y = (F(B2, 2) * F(B2, 1, 2) + F(B2, 1) * F(B2, 2) * F(B2, 1)
+         + F(B2, 1).scale(qp(1)) + F(B2, 2, 2))
+    assert pairing(x, y) == _oracle_pairing(x, y)
+    assert not pairing(x, y).is_zero()
+    # (K_lam, K_mu) on every pair of simple roots and their negatives
+    for datum in (A2, B2):
+        ks = [_alpha_vec(datum, i, s) for i in datum.indices for s in (1, -1)]
+        for lam in ks:
+            for mu in ks:
+                kx, ky = TriExpr.k_elt(datum, lam), TriExpr.k_elt(datum, mu)
+                assert pairing(kx, ky) == _oracle_pairing(kx, ky)
+    # K parts together with words, over several weights
+    zk = (0, 0)
+    tx = TriExpr(A2, {((), (1, 0), ((1, 1), (2, 1))): qp(2),
+                      ((), (0, -1), ((2, 1), (1, 1))): qp(0, 3),
+                      ((), zk, ((1, 2),)): qp(-1),
+                      ((), (1, 1), ((1, 1),)): qp(0)})
+    ty = TriExpr(A2, {(((2, 1), (1, 1)), (0, 1), ()): qp(1),
+                      (((1, 1), (2, 1)), (-1, 0), ()): qp(0, -2),
+                      (((1, 2),), (1, 1), ()): qp(0),
+                      (((1, 1),), zk, ()): qp(4)})
+    assert pairing(tx, ty) == _oracle_pairing(tx, ty)
+    assert not pairing(tx, ty).is_zero()

@@ -308,3 +308,46 @@ def test_shift_neg_bar_need_no_zero_filter(raw, k):
                       (p.bar(), {-e: c for e, c in raw.items()})):
         assert 0 not in got.coeffs.values()
         assert got == LaurentPoly(want)
+
+
+def _oracle_mul(a, b):
+    """The double loop over both operands' terms, with no fast path."""
+    res = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            res[e1 + e2] = res.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in res.items() if c}
+
+
+_mul_operand = (st.just(LaurentPoly()) | st.just(q(0))
+                | st.builds(q, st.integers(-6, 6), st.sampled_from([1, -1]))
+                | st.builds(q, st.integers(-6, 6),
+                            st.integers(-9, 9).filter(bool))
+                | st.dictionaries(st.integers(-5, 5), st.integers(-4, 4),
+                                  max_size=5).map(LaurentPoly))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mul_operand, _mul_operand)
+def test_mul_matches_double_loop(a, b):
+    for got in (a * b, b * a):
+        assert got.coeffs == _oracle_mul(a, b)
+        assert 0 not in got.coeffs.values()
+
+
+_laurent_rat = _mul_operand.map(RatScalar.from_laurent)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_laurent_rat, _laurent_rat)
+def test_laurent_rat_mul_add_match_general_construction(a, b):
+    # the general formulas through the reducing constructor
+    def prod(x, y):
+        return LaurentPoly(_oracle_mul(x, y))
+
+    mul = RatScalar(prod(a.num, b.num), prod(a.den, b.den))
+    add = RatScalar(prod(a.num, b.den) + prod(b.num, a.den),
+                    prod(a.den, b.den))
+    for got, want in ((a * b, mul), (a + b, add)):
+        assert (got.num, got.den) == (want.num, want.den)
+        assert 0 not in got.num.coeffs.values()
