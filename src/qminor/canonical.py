@@ -14,8 +14,8 @@ from .scalars import LaurentPoly, RatScalar
 from .rootdata import Vec, form, weyl_act
 from .qea import WordExpr
 from .pbw import (pbw_monomial, dual_pbw_normalizer, data_of_weight,
-                  check_datum, datum_weight, render_datum, rlex_less,
-                  root_vector, pbw_coordinates, pbw_product,
+                  check_datum, datum_weight, weight_tuple, render_datum,
+                  rlex_less, root_vector, pbw_coordinates, pbw_product,
                   _letter_factorial)
 
 
@@ -25,6 +25,11 @@ class NotUnitriangular(ArithmeticError):
 
 class NoSolution(ArithmeticError):
     """The triangular solve hit a constant-term obstruction."""
+
+
+class FlagMinorWeightMismatch(ArithmeticError):
+    """A flag-minor datum does not have the weight (Id - w)(varpi_i)
+    (convention bug)."""
 
 
 # -- dual PBW basis --------------------------------------------------------
@@ -51,7 +56,10 @@ def from_dual_pbw(w, coords):
 #
 # Dual-PBW coordinate dicts {datum: RatScalar} support exact products and
 # sigma_eta through PBW straightening, with no pairing evaluation at the
-# (possibly large) product weight.
+# (possibly large) product weight.  Products read a per-word table of
+# E(m)* E(n)*, each entry straightened once; its coefficients are Laurent
+# (the dual PBW basis spans a Z[q, q^-1]-form), so a product of
+# Z[q]-coordinates is a sum of denominator-free multiply-adds.
 
 def dual_to_pbw_coords(w, coords):
     """E(m)* = f_m E(m): convert {E(m)*}-coordinates to {E(m)}-coordinates."""
@@ -62,10 +70,29 @@ def pbw_to_dual_coords(w, coords):
     return {m: c / dual_pbw_normalizer(w, m) for m, c in coords.items()}
 
 
+@cache
+def _dual_unit_product(w, m, n):
+    """E(m)* E(n)* in dual-PBW coordinates, straightened in PBW ones."""
+    one = RatScalar.one()
+    return pbw_to_dual_coords(w, pbw_product(
+        w, dual_to_pbw_coords(w, {m: one}), dual_to_pbw_coords(w, {n: one})))
+
+
 def dual_product(w, ca, cb):
-    """Product of two elements given in dual-PBW coordinates."""
-    prod = pbw_product(w, dual_to_pbw_coords(w, ca), dual_to_pbw_coords(w, cb))
-    return pbw_to_dual_coords(w, prod)
+    """Product of two elements given in dual-PBW coordinates: the
+    bilinear sum of the table entries E(m)* E(n)*."""
+    out = {}
+    for m, cm in ca.items():
+        for n, cn in cb.items():
+            pref = cm * cn
+            for d, c in _dual_unit_product(w, m, n).items():
+                r = out.get(d)
+                r = pref * c if r is None else r + pref * c
+                if r.is_zero():
+                    out.pop(d, None)
+                else:
+                    out[d] = r
+    return out
 
 
 @cache
@@ -219,8 +246,7 @@ def _dual_canonical_basis(mu, w):
 def dual_canonical_element(w, n):
     """B(n)* as a UPlusExpr."""
     n = check_datum(w, n)
-    mu = datum_weight(w, n).root_coords_int()
-    return from_dual_pbw(w, dual_canonical_basis(mu, w)[n])
+    return from_dual_pbw(w, dual_canonical_basis(weight_tuple(w, n), w)[n])
 
 
 def expand_dual_canonical(x, w):
@@ -234,7 +260,7 @@ def expand_dual_canonical_coords(coords, w):
     out = {}
     by_weight = {}
     for m, c in coords.items():
-        by_weight.setdefault(datum_weight(w, m).root_coords_int(), {})[m] = c
+        by_weight.setdefault(weight_tuple(w, m), {})[m] = c
     for mu, cc in by_weight.items():
         basis = dual_canonical_basis(mu, w)
         rem = dict(cc)
@@ -251,7 +277,7 @@ def expand_dual_canonical_coords(coords, w):
                     else:
                         rem[m] = r
         if rem:
-            raise AssertionError("unitriangular inversion left residue")
+            raise NotUnitriangular("unitriangular inversion left residue")
     return out
 
 
@@ -278,8 +304,8 @@ def flag_minor(w, k):
     expected = vp - weyl_act(datum, w.word[:k], vp)
     got = datum_weight(w, n)
     if expected != got:
-        raise AssertionError("flag minor weight mismatch: %r vs %r"
-                             % (expected, got))
+        raise FlagMinorWeightMismatch("flag minor weight mismatch: %r vs %r"
+                                      % (expected, got))
     return n, elt
 
 
@@ -293,7 +319,7 @@ def demazure_flag(m, k):
 def basis_element_json(w, n):
     """JSON-ready dict for one dual canonical basis element."""
     n = check_datum(w, n)
-    mu = datum_weight(w, n).root_coords_int()
+    mu = weight_tuple(w, n)
     coords = dual_canonical_basis(mu, w)[n]
     return {
         "word": list(w.word),

@@ -5,13 +5,14 @@ Two basis elements b, b' q-commute when bb' = q^e b'b exactly; they are
 multiplicative when q^n bb' is again a basis element.  The harness scans
 all q-commuting pairs (monomial in flag minors) x (basis element) up to a
 height bound and verifies single-term expansion and the lattice congruence
-q^{d(m,m')} B(m)* B(m')* = B(m+m')* mod qL*.  All products run through
-PBW straightening in coordinates.
+q^{d(m,m')} B(m)* B(m')* = B(m+m')* mod qL*.  All products are bilinear
+sums over canonical's per-word table of dual-PBW products E(m)* E(n)*,
+each entry straightened once in PBW coordinates.
 """
 
 from .scalars import RatScalar
 from .rootdata import weights_up_to
-from .pbw import d_form, datum_weight, data_of_weight, render_datum
+from .pbw import d_form, weight_tuple, data_of_weight, render_datum
 from .canonical import (dual_canonical_basis, expand_dual_canonical_coords,
                         dual_product, coords_congruent_mod_qL,
                         flag_minor_datum, dual_pbw_expansion)
@@ -20,8 +21,7 @@ from .quiver import adapted_word
 
 def _dual_can_coords(w, m):
     """B(m)* in dual-PBW coordinates."""
-    mu = datum_weight(w, m).root_coords_int()
-    return dual_canonical_basis(mu, w)[m]
+    return dual_canonical_basis(weight_tuple(w, m), w)[m]
 
 
 def q_commute_exponent_coords(w, ca, cb):
@@ -79,7 +79,7 @@ def adapted_monomials(w, height_bound):
     parametrize the basis elements inside the adapted algebra."""
     N = len(w.word)
     gens = [flag_minor_datum(w, k) for k in range(1, N + 1)]
-    heights = [int(datum_weight(w, g).height()) for g in gens]
+    heights = [sum(weight_tuple(w, g)) for g in gens]
     found = set()
 
     def build(idx, acc, left):

@@ -14,8 +14,8 @@ pairing, one single-root pairing per (word, k).
 from functools import cache
 
 from .scalars import LaurentPoly, RatScalar, ONE, quantum_factorial
-from .rootdata import form, reflect
-from .qea import WordExpr, TriExpr, tri_mul, pairing, _alpha_vec
+from .rootdata import reflect
+from .qea import WordExpr, TriExpr, tri_mul, pairing, _alpha_vec, _form_int
 
 
 # -- braid automorphisms -------------------------------------------------
@@ -112,17 +112,26 @@ def _root_tri(datum, word, side):
     return TriExpr.f_gen(datum, word[0])
 
 
-def _root_unit(datum, beta):
-    """The normalizing unit q^(sum k_i d_i - <beta,beta>/2) of a root vector.
+@cache
+def _root_table(w):
+    """(betas, gram): the roots beta_k as int root-coordinate tuples and
+    their Gram matrix gram[k-1][l-1] = (beta_k, beta_l) over the ints."""
+    betas = tuple(b.root_coords_int() for b in w.betas)
+    return betas, tuple(tuple(_form_int(w.datum, a, b) for b in betas)
+                        for a in betas)
+
+
+def _root_unit(w, k):
+    """The normalizing unit q^(sum c_i d_i - <beta_k,beta_k>/2) of the
+    root vector E_{beta_k}, where beta_k = sum c_i alpha_i.
 
     It is trivial on simple roots and makes the dual PBW basis compatible
     with the twisted bar involution (unit diagonal) while keeping every
     dual normalizer f_m in 1 + qZ[q].
     """
-    k = beta.root_coords_int()
-    t = sum(c * d for c, d in zip(k, datum.d))
-    h = int(form(beta, beta)) // 2
-    return RatScalar.q_power(t - h)
+    betas, gram = _root_table(w)
+    t = sum(c * d for c, d in zip(betas[k - 1], w.datum.d))
+    return RatScalar.q_power(t - gram[k - 1][k - 1] // 2)
 
 
 def root_vector(w, k):
@@ -132,13 +141,13 @@ def root_vector(w, k):
     signals a convention bug, not a user error.
     """
     x = _root_tri(w.datum, w.word[:k], "E").project_uplus()
-    return x.scale(_root_unit(w.datum, w.betas[k - 1]))
+    return x.scale(_root_unit(w, k))
 
 
 def f_root_vector(w, k):
     """The mirrored F-side root vector F_{beta_k}."""
     x = _root_tri(w.datum, w.word[:k], "F").project_uminus()
-    return x.scale(_root_unit(w.datum, w.betas[k - 1]))
+    return x.scale(_root_unit(w, k))
 
 
 # -- PBW monomials and coordinates ------------------------------------------
@@ -161,6 +170,17 @@ def datum_weight(w, m):
         if c:
             v = v + b * c
     return v
+
+
+def weight_tuple(w, m):
+    """sum m_k beta_k as an int tuple of simple-root coordinates."""
+    m = check_datum(w, m)
+    out = [0] * w.datum.rank
+    for c, b in zip(m, _root_table(w)[0]):
+        if c:
+            for t, x in enumerate(b):
+                out[t] += c * x
+    return tuple(out)
 
 
 def render_datum(m):
@@ -189,8 +209,7 @@ def _monomial(w, m, side):
 
 def _root_norm(w, k):
     """(beta_k, beta_k) as an int."""
-    beta = w.betas[k - 1]
-    return int(form(beta, beta))
+    return _root_table(w)[1][k - 1][k - 1]
 
 
 def _divided_root_power(w, k, c, side):
@@ -205,7 +224,7 @@ def _divided_root_power(w, k, c, side):
 def data_of_weight(w, mu):
     """All Lusztig data m with sum m_k beta_k = mu, sorted ascending
     for rlex (right-lexicographic)."""
-    betas = [b.root_coords_int() for b in w.betas]
+    betas = _root_table(w)[0]
     if hasattr(mu, "root_coords_int"):
         mu = mu.root_coords_int()
     mu = tuple(int(c) for c in mu)
@@ -301,16 +320,16 @@ def d_form(w, m, n):
     + (1/2) sum_i <beta_i, beta_i> m_i n_i (an integer)."""
     m = check_datum(w, m)
     n = check_datum(w, n)
-    betas = w.betas
+    gram = _root_table(w)[1]
     total = 0
     for i in range(len(m)):
         if not m[i]:
             continue
         for j in range(i):
             if n[j]:
-                total += int(form(betas[i], betas[j])) * m[i] * n[j]
+                total += gram[i][j] * m[i] * n[j]
         if n[i]:
-            total += int(form(betas[i], betas[i])) * m[i] * n[i] // 2
+            total += gram[i][i] * m[i] * n[i] // 2
     return total
 
 
@@ -357,7 +376,7 @@ def straighten_commutator(w, k, kp):
         raise ValueError("need 1 <= k < k' <= N, got (%d, %d)" % (k, kp))
     N = len(w.word)
     lead = tuple(1 if t in (k - 1, kp - 1) else 0 for t in range(N))
-    b = int(form(w.betas[k - 1], w.betas[kp - 1]))
+    b = _root_table(w)[1][k - 1][kp - 1]
     backward = pbw_coordinates(root_vector(w, kp) * root_vector(w, k), w)
     lead_b = backward.pop(lead, RatScalar.zero())
     if lead_b != RatScalar.q_power(-b):
@@ -411,7 +430,7 @@ def _straighten_letters(w, letters):
         return {m: _letter_factorial(w, m)}
     x, y = letters[pos], letters[pos + 1]
     pre, suf = letters[:pos], letters[pos + 2:]
-    unit = RatScalar.q_power(-int(form(w.betas[x - 1], w.betas[y - 1])))
+    unit = RatScalar.q_power(-_root_table(w)[1][x - 1][y - 1])
     acc = {}
 
     def add(d, c):
@@ -499,8 +518,8 @@ class ExtOrder:
         n = tuple(n)
         if m == n:
             return True
-        mu = datum_weight(self.w, n).root_coords_int()
-        if datum_weight(self.w, m).root_coords_int() != mu:
+        mu = weight_tuple(self.w, n)
+        if weight_tuple(self.w, m) != mu:
             return False
         return m in _ext_downsets(self.w, mu)[n]
 

@@ -2,22 +2,30 @@
 basis, lattice congruences, and quantum flag minors."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import qminor.canonical
 
 from qminor.scalars import RatScalar, LaurentPoly
 from qminor.rootdata import (CartanDatum, ReducedWord, longest_word, form,
-                             Vec, weyl_act)
+                             Vec, weyl_act, weights_up_to)
 from qminor.qea import WordExpr, expr_equal, sigma_eta
 from qminor.pbw import (pbw_monomial, dual_pbw_normalizer, data_of_weight,
-                        rlex_less, datum_weight, pbw_coordinates,
-                        straighten_commutator)
+                        rlex_less, datum_weight, weight_tuple,
+                        pbw_coordinates, pbw_product, straighten_commutator)
 from qminor.canonical import (dual_pbw_element, dual_pbw_expansion,
                               from_dual_pbw, sigma_eta_dual_coords,
                               eigen_scalar, bar_matrix, dual_canonical_basis,
                               dual_canonical_element, expand_dual_canonical,
+                              expand_dual_canonical_coords,
                               in_q_lattice, congruent_mod_qL,
                               flag_minor_datum, flag_minor, demazure_flag,
                               basis_element_json, dual_product,
-                              pbw_to_dual_coords, NotUnitriangular)
+                              dual_to_pbw_coords, pbw_to_dual_coords,
+                              _dual_unit_product, NotUnitriangular,
+                              FlagMinorWeightMismatch)
+from qminor.checks import standard_words
+from qminor.quiver import adapted_word, all_orientations
 
 A2 = CartanDatum("A2")
 A3 = CartanDatum("A3")
@@ -55,6 +63,100 @@ def test_dual_product_matches_elements():
     prod = dual_product(W_A2, ca, cb)
     elt = from_dual_pbw(W_A2, ca) * from_dual_pbw(W_A2, cb)
     assert prod == dual_pbw_expansion(elt, W_A2)
+
+
+# -- products through the table of E(m)* E(n)* ---------------------------------
+
+def _oracle_dual_product(w, ca, cb):
+    """The product without the table: convert both factors to PBW
+    coordinates, straighten, and convert back."""
+    prod = pbw_product(w, dual_to_pbw_coords(w, ca), dual_to_pbw_coords(w, cb))
+    return pbw_to_dual_coords(w, prod)
+
+
+def _standard_and_adapted_words(datum):
+    words = standard_words(datum)
+    if datum.is_simply_laced():
+        words += [adapted_word(o) for o in all_orientations(datum)]
+    return list({w.word: w for w in words}.values())
+
+
+PRODUCT_HEIGHTS = {"A2": 4, "B2": 4, "A3": 3, "A4": 2, "D4": 2}
+
+
+def _data_pairs(w, height):
+    """Every pair of data (zero included) of total weight height <= height."""
+    data = [(0, (0,) * len(w.word))]
+    data += [(sum(mu), m) for mu in weights_up_to(w.datum, height)
+             for m in data_of_weight(w, mu)]
+    return [(m, n) for hm, m in data for hn, n in data if hm + hn <= height]
+
+
+def _canonical_coords(w, m):
+    return dual_canonical_basis(weight_tuple(w, m), w)[m]
+
+
+@pytest.mark.parametrize("label", sorted(PRODUCT_HEIGHTS))
+def test_dual_product_matches_oracle(label):
+    # On E(m)* x E(n)* (each table entry) and on B(m)* x B(n)*, whose
+    # coordinates are not all 1, for every standard and adapted word.
+    one = RatScalar.one()
+    for w in _standard_and_adapted_words(CartanDatum(label)):
+        for m, n in _data_pairs(w, PRODUCT_HEIGHTS[label]):
+            ca, cb = {m: one}, {n: one}
+            assert dual_product(w, ca, cb) == \
+                _oracle_dual_product(w, ca, cb), (w, m, n)
+            if any(m) and any(n):
+                ca, cb = _canonical_coords(w, m), _canonical_coords(w, n)
+                assert dual_product(w, ca, cb) == \
+                    _oracle_dual_product(w, ca, cb), (w, m, n)
+
+
+@pytest.mark.parametrize("label", sorted(PRODUCT_HEIGHTS))
+def test_dual_unit_products_are_laurent(label):
+    # Every table entry E(m)* E(n)* has Laurent coordinates, as the dual
+    # PBW basis spans a Z[q, q^-1]-form.  Products stay correct without
+    # this; only their denominator-free fast path depends on it.
+    for w in _standard_and_adapted_words(CartanDatum(label)):
+        for m, n in _data_pairs(w, PRODUCT_HEIGHTS[label]):
+            for c in _dual_unit_product(w, m, n).values():
+                assert c.is_laurent(), (w, m, n, c.render())
+
+
+def test_dual_product_cancels_and_handles_empty_factors():
+    # E(0)* E(110)* = E(100)* E(010)* = E(110)*: the two cancel in
+    # (E(0)* + E(100)*) (E(110)* - E(010)*).
+    one = RatScalar.one()
+    ca = {(0, 0, 0): one, (1, 0, 0): one}
+    cb = {(1, 1, 0): one, (0, 1, 0): -one}
+    prod = dual_product(W_A2, ca, cb)
+    assert (1, 1, 0) not in prod
+    assert prod[(0, 1, 0)] == -one
+    assert prod == _oracle_dual_product(W_A2, ca, cb)
+    assert dual_product(W_A2, {}, cb) == {}
+    assert dual_product(W_A2, ca, {}) == {}
+    assert dual_product(W_A2, {(1, 0, 0): RatScalar.zero()}, cb) == {}
+
+
+_ONE = RatScalar.one()
+_COEFFS = [RatScalar.zero(), _ONE, qp(0, -1), qp(1), qp(-1, 2),
+           _ONE / (_ONE - qp(2)), (_ONE + qp(1)) / (_ONE - qp(3))]
+_HYP_WORDS = [w for label in ("A2", "B2", "A3")
+              for w in standard_words(CartanDatum(label))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_dual_product_matches_oracle_on_random_coords(data):
+    # non-Laurent coefficients, zero coefficients, partial cancellation
+    # and empty dicts
+    w = data.draw(st.sampled_from(_HYP_WORDS))
+    pool = [(0,) * len(w.word)] + [m for mu in weights_up_to(w.datum, 2)
+                                   for m in data_of_weight(w, mu)]
+    coords = st.dictionaries(st.sampled_from(pool), st.sampled_from(_COEFFS),
+                             max_size=3)
+    ca, cb = data.draw(coords), data.draw(coords)
+    assert dual_product(w, ca, cb) == _oracle_dual_product(w, ca, cb)
 
 
 # -- the twisted bar involution ------------------------------------------------
@@ -145,6 +247,16 @@ def test_dual_canonical_bar_fixed():
             assert img == coords
 
 
+def test_inversion_residue_raises(monkeypatch):
+    # a basis element with support outside its weight space is left over
+    one = RatScalar.one()
+    monkeypatch.setattr(qminor.canonical, "dual_canonical_basis",
+                        lambda mu, w: {n: {n: one, (9, 9, 9): one}
+                                       for n in data_of_weight(w, mu)})
+    with pytest.raises(NotUnitriangular, match="residue"):
+        expand_dual_canonical_coords({(1, 0, 1): one}, W_A2)
+
+
 def test_expand_dual_canonical():
     # B(m)* expands as the delta; E(n)* expands unitriangularly with the
     # correction in qZ[q]; zero expands to nothing.
@@ -198,6 +310,13 @@ def test_flag_minor_elements_and_weights():
             nk, minor = flag_minor(w, k)
             assert datum_weight(w, nk) == target
             assert minor.weight() == target
+
+
+def test_flag_minor_weight_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(qminor.canonical, "flag_minor_datum",
+                        lambda w, k: (0, 1, 0))
+    with pytest.raises(FlagMinorWeightMismatch):
+        flag_minor(W_A2, 1)
 
 
 def test_flag_minor_is_canonical():

@@ -16,8 +16,9 @@ from qminor.pbw import (braid_T, root_vector, f_root_vector, pbw_monomial,
                         pairing_em_fn, dual_pbw_normalizer,
                         d_form, c_form, rlex_less, unit_datum,
                         straighten_commutator, ext_order, pbw_product,
-                        datum_weight, render_datum, _normalizer_pair,
-                        _root_pairing_unit, NotAUnit, StraighteningError)
+                        datum_weight, weight_tuple, render_datum,
+                        _normalizer_pair, _root_pairing_unit, _root_table,
+                        _root_norm, NotAUnit, StraighteningError)
 from qminor.checks import standard_words, weights_up_to
 from qminor.quiver import adapted_word, all_orientations
 
@@ -230,6 +231,35 @@ def test_d_c_form_identities():
             lhs = d_form(w, n, m) + d_form(w, m, n)
             assert lhs == int(form(datum_weight(w, n), datum_weight(w, m)))
             assert d_form(w, n, m) - d_form(w, m, n) == c_form(w, n, m)
+
+
+def _oracle_d_form(fgram, m, n):
+    """d(m, n) from a Gram matrix of the roots built by the Fraction form."""
+    total = 0
+    for i in range(len(m)):
+        for j in range(i):
+            total += fgram[i][j] * m[i] * n[j]
+        total += fgram[i][i] * m[i] * n[i] // 2
+    return total
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "D4"])
+def test_root_table_matches_fraction_form(label):
+    for w in _standard_and_adapted_words(CartanDatum(label)):
+        fgram = [[int(form(b, g)) for g in w.betas] for b in w.betas]
+        betas, gram = _root_table(w)
+        assert betas == tuple(b.root_coords_int() for b in w.betas)
+        assert [list(row) for row in gram] == fgram
+        for k in range(1, len(w.word) + 1):
+            assert _root_norm(w, k) == fgram[k - 1][k - 1]
+        data = [m for mu in weights_up_to(w.datum, 2)
+                for m in data_of_weight(w, mu)]
+        for m in data:
+            assert weight_tuple(w, m) == datum_weight(w, m).root_coords_int()
+            for n in data:
+                assert d_form(w, m, n) == _oracle_d_form(fgram, m, n), (m, n)
+        with pytest.raises(ValueError):
+            weight_tuple(w, (1,) * (len(w.word) + 1))
 
 
 def test_rlex_order():
