@@ -11,8 +11,8 @@ recursion over the right-lexicographic order.
 from functools import cache
 
 from .scalars import LaurentPoly, RatScalar
-from .rootdata import Vec, form, weyl_act
-from .qea import WordExpr
+from .rootdata import Vec, weyl_act
+from .qea import WordExpr, _form_int
 from .pbw import (pbw_monomial, dual_pbw_normalizer, data_of_weight,
                   check_datum, datum_weight, weight_tuple, render_datum,
                   rlex_less, root_vector, pbw_coordinates, pbw_product,
@@ -165,9 +165,8 @@ def eigen_scalar(datum, mu):
     """s_mu = (-1)^tr(mu) q^{-(<mu,mu>/2 + sum k_i d_i)} for
     mu = sum k_i alpha_i."""
     mu = _weight_tuple(mu)
-    v = Vec(datum, mu)
     tr = sum(mu)
-    half_norm = int(form(v, v)) // 2
+    half_norm = _form_int(datum, mu, mu) // 2
     dsum = sum(k * d for k, d in zip(mu, datum.d))
     return RatScalar.q_power(-(half_norm + dsum), -1 if tr % 2 else 1)
 

@@ -116,7 +116,7 @@ def check_prop21(label, words=None):
     for w in (words or standard_words(datum)):
         for k in range(1, len(w.word) + 1):
             n = pbw.unit_datum(len(w.word), k)
-            mu = pbw.datum_weight(w, n).root_coords_int()
+            mu = pbw.weight_tuple(w, n)
             c = canonical.dual_canonical_basis(mu, w)[n]
             if set(c) != {n} or not c[n].is_one():
                 failures.append([list(w.word), k])
@@ -159,7 +159,7 @@ def check_prop31(label, height_bound, words=None):
         for k in range(1, len(w.word) + 1):
             nk = canonical.flag_minor_datum(w, k)
             dc = canonical.dual_canonical_basis(
-                pbw.datum_weight(w, nk).root_coords_int(), w)[nk]
+                pbw.weight_tuple(w, nk), w)[nk]
             vp = datum.varpi(w.word[k - 1])
             wv = weyl_act(datum, w.word[:k], vp)
             for mu in weights_up_to(datum, height_bound):

@@ -301,7 +301,7 @@ def _cmd_flag_minors(args):
         minors.append({
             "prefix_length": k,
             "datum": list(n),
-            "weight": list(pbw.datum_weight(w, n).root_coords_int()),
+            "weight": list(pbw.weight_tuple(w, n)),
             "dual_pbw": canonical.basis_element_json(w, n)["dual_pbw"],
         })
     _emit({

@@ -6,7 +6,12 @@ w_0; the PBW monomial is E(m) = E_{beta_1}^{(m_1)} ... E_{beta_N}^{(m_N)}
 with root vectors E_{beta_k} = T_{i_1} ... T_{i_{k-1}}(E_{i_k}).
 Coordinates of arbitrary elements are computed through the Hopf pairing
 against the mirrored F-side monomials (biorthogonality), never by
-word rewriting.  The dual PBW normalizers f_m come from Lusztig's
+word rewriting.  The F-side root vectors are the E-side ones pushed
+through the Chevalley involution omega (E_i <-> F_i, K_mu -> K_-mu):
+F_{beta_k} = (-1)^(ht beta_k - 1) u_k omega(E_{beta_k}), with u_k the
+root unit, since T_i omega = Psi_i omega T_i for a grading scalar Psi_i
+(see f_root_vector), so the braid automorphisms run on the E side
+only.  The dual PBW normalizers f_m come from Lusztig's
 product formula for (E(m), F(m)); only their units u_m are read off the
 pairing, one single-root pairing per (word, k).
 """
@@ -102,14 +107,12 @@ def braid_T(i, x):
 # -- root vectors ----------------------------------------------------------
 
 @cache
-def _root_tri(datum, word, side):
-    """T_{i_1} ... T_{i_{k-1}} applied to the side-generator of i_k,
-    where word = (i_1, ..., i_k).  Shared suffix recursion."""
+def _root_tri(datum, word):
+    """T_{i_1} ... T_{i_{k-1}}(E_{i_k}) in U_q(g), where
+    word = (i_1, ..., i_k).  Shared suffix recursion."""
     if len(word) > 1:
-        return braid_T(word[0], _root_tri(datum, word[1:], side))
-    if side == "E":
-        return TriExpr.e_gen(datum, word[0])
-    return TriExpr.f_gen(datum, word[0])
+        return braid_T(word[0], _root_tri(datum, word[1:]))
+    return TriExpr.e_gen(datum, word[0])
 
 
 @cache
@@ -140,14 +143,34 @@ def root_vector(w, k):
     Raises NotInUqn if the braid image fails to land in U_q(n): that
     signals a convention bug, not a user error.
     """
-    x = _root_tri(w.datum, w.word[:k], "E").project_uplus()
+    x = _root_tri(w.datum, w.word[:k]).project_uplus()
     return x.scale(_root_unit(w, k))
 
 
 def f_root_vector(w, k):
-    """The mirrored F-side root vector F_{beta_k}."""
-    x = _root_tri(w.datum, w.word[:k], "F").project_uminus()
-    return x.scale(_root_unit(w, k))
+    """The mirrored F-side root vector F_{beta_k} = u_k T_{i_1} ...
+    T_{i_{k-1}}(F_{i_k}), read off the E side:
+    F_{beta_k} = (-1)^(ht beta_k - 1) u_k omega(E_{beta_k}).
+
+    omega is the Chevalley involution E_i <-> F_i, K_mu -> K_-mu, so
+    omega(E_{beta_k}) is root_vector(w, k) with its words put on the F
+    side.  Proof sketch: with the conventions of _braid_gen,
+    T_i(omega g) = Psi_i(omega T_i g), where Psi_i scales an element of
+    weight lambda by (-1)^<alpha_i^v, lambda> q^-(alpha_i, lambda) (check
+    it on E_j, F_j and K_mu).  Write gamma_j = s_{i_j} ... s_{i_{k-1}}
+    alpha_{i_k}, so gamma_1 = beta_k and gamma_k = alpha_{i_k}.  Moving
+    omega out through T_{i_j} costs (-1)^<alpha_{i_j}^v, gamma_{j+1}>
+    q^-(alpha_{i_j}, gamma_{j+1}), and gamma_j = gamma_{j+1} -
+    <alpha_{i_j}^v, gamma_{j+1}> alpha_{i_j}, so the signs telescope to
+    (-1)^(ht beta_k - 1) and the q-powers to q^(sum c_i d_i - d_{i_k})
+    for beta_k = sum c_i alpha_i, with d_{i_k} = (beta_k, beta_k)/2: the
+    exponent of u_k.  omega maps U^+ onto U^-, so the NotInUqn check of
+    root_vector covers this side too.  The braid route stays in the
+    tests as an oracle.
+    """
+    sign = -1 if sum(_root_table(w)[0][k - 1]) % 2 == 0 else 1
+    x = root_vector(w, k)
+    return WordExpr(w.datum, x.terms, "F").scale(_root_unit(w, k) * sign)
 
 
 # -- PBW monomials and coordinates ------------------------------------------

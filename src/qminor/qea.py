@@ -18,8 +18,9 @@ from .scalars import (LaurentPoly, RatScalar, ZERO, ONE,
 from .rootdata import Vec
 
 
-class NotInUqn(ValueError):
-    """A TriExpr expected to lie in U_q(n) has surviving F or K parts."""
+class NotInUqn(ArithmeticError):
+    """A TriExpr expected to lie in U_q(n) has surviving F or K parts
+    (a braid convention bug, not a user error)."""
 
 
 # -- divided-power words ------------------------------------------------
@@ -480,15 +481,6 @@ class TriExpr:
             terms[e] = c
         return WordExpr(self.datum, terms, "E")
 
-    def project_uminus(self):
-        zk = (0,) * self.datum.rank
-        terms = {}
-        for (f, k, e), c in self.terms.items():
-            if e or k != zk:
-                raise NotInUqn("term %r has E/K content" % ((f, k, e),))
-            terms[f] = c
-        return WordExpr(self.datum, terms, "F")
-
     def render(self):
         if not self.terms:
             return "0"
@@ -579,28 +571,37 @@ def _normal_order(datum, eplain, fplain):
 
 
 def tri_mul(x, y):
-    """The product in U_q(g), rewritten to normal order F * K * E."""
+    """The product in U_q(g), rewritten to normal order F * K * E.
+
+    The divided-power factors of e1 and f2 join the coefficients once
+    per pair of terms.  Per normal-order term, c joins them in one reduced
+    product; the K-commutation q-power is a shift, with no reduction;
+    the merge binomials cost a reduction only when not 1; and the first
+    term at a key is stored as it is.
+    """
     if x.datum is not y.datum:
         raise ValueError("TriExprs over different Cartan data")
     datum = x.datum
     out = {}
     for (f1, k1, e1), c1 in x.terms.items():
         pe1 = word_to_plain(e1)
-        r1 = plain_factor(datum, e1)
+        c1 = c1 * plain_factor(datum, e1)
         for (f2, k2, e2), c2 in y.terms.items():
             pf2 = word_to_plain(f2)
-            r2 = plain_factor(datum, f2)
-            base = c1 * c2 * r1 * r2
+            base = c1 * c2 * plain_factor(datum, f2)
             for fp, kp, ep, c in _normal_order(datum, pe1, pf2):
                 # K_{k1} right past fp, then ep right past K_{k2}
                 shift = (-_form_int(datum, k1, _wt_vec(datum, fp))
                          - _form_int(datum, k2, _wt_vec(datum, ep)))
-                coeff = base * c * RatScalar.q_power(shift)
                 fw, ff = canonicalize_word(datum, f1 + plain_to_pairs(fp))
                 ew, ef = canonicalize_word(datum, plain_to_pairs(ep) + e2)
-                coeff = coeff * ff * ef
+                coeff = (base * c).shift(shift)
+                binom = ff * ef
+                if not binom.is_one():
+                    coeff = coeff * RatScalar.from_laurent(binom)
                 nk = (fw, _vec_add(_vec_add(k1, kp), k2), ew)
-                s = out.get(nk, RatScalar.zero()) + coeff
+                s = out.get(nk)
+                s = coeff if s is None else s + coeff
                 if s.is_zero():
                     out.pop(nk, None)
                 else:

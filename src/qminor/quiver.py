@@ -11,13 +11,18 @@ import random
 
 from .rootdata import (ReducedWord, num_positive_roots, weyl_act, form,
                        weights_up_to, reduced_completion)
-from .pbw import (d_form, datum_weight, data_of_weight, unit_datum,
+from .pbw import (d_form, weight_tuple, data_of_weight, unit_datum,
                   ext_order)
 from .canonical import flag_minor_datum
 
 
 class NotASink(ValueError):
     """Raised when a sink reflection is requested at a non-sink vertex."""
+
+
+class NoAdaptedWord(ArithmeticError):
+    """The sink-reflection search found no reduced word for w_0 adapted
+    to an orientation (every Dynkin orientation has one)."""
 
 
 class Orientation:
@@ -120,7 +125,7 @@ def adapted_word(o):
 
     word = dfs([], o)
     if word is None:
-        raise AssertionError("no adapted word for %s" % o.render())
+        raise NoAdaptedWord("no adapted word for %s" % o.render())
     return ReducedWord(datum, word)
 
 
@@ -153,7 +158,7 @@ def tau_class(w, m):
 
 def dim_vector(w, m):
     """Gabriel: the dimension vector of the class m is sum m_k beta_k."""
-    return datum_weight(w, m).root_coords_int()
+    return weight_tuple(w, m)
 
 
 def euler_form(o, a, b):

@@ -15,6 +15,15 @@ class NotReduced(ValueError):
     """Raised when a word fails the convexity/reducedness check."""
 
 
+class SearchStalled(ArithmeticError):
+    """A greedy extension to a reduced word for w_0 found no simple root
+    to append before reaching the length of w_0 (a Weyl group bug)."""
+
+
+class NoDualVertex(ArithmeticError):
+    """-w_0(alpha_i) is not a simple root (a Weyl group bug)."""
+
+
 _CARTAN = {
     "A1": [[2]],
     "A2": [[2, -1], [-1, 2]],
@@ -325,7 +334,7 @@ def longest_word(datum):
                 word.append(i)
                 break
         else:
-            raise AssertionError("descent search stalled")
+            raise SearchStalled("descent search stalled")
     return ReducedWord(datum, word)
 
 
@@ -337,7 +346,7 @@ def dual_vertex(datum, i):
     for j in datum.indices:
         if img == datum.alpha(j):
             return j
-    raise AssertionError("w_0(alpha_%d) is not minus a simple root" % i)
+    raise NoDualVertex("w_0(alpha_%d) is not minus a simple root" % i)
 
 
 def weights_up_to(datum, bound):
@@ -376,7 +385,7 @@ def reduced_completion(w):
                 word.append(i)
                 break
         else:
-            raise AssertionError("completion stalled")
+            raise SearchStalled("completion stalled")
     return ReducedWord(datum, word)
 
 

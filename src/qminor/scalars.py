@@ -384,6 +384,10 @@ class RatScalar:
             res = res * self
         return res
 
+    def shift(self, k):
+        """Multiply by q^k; q is a unit, so the fraction stays reduced."""
+        return RatScalar(self.num.shift(k), self.den, _reduced=True)
+
     def bar(self):
         """The Q-automorphism q -> q^-1 of Q(q)."""
         return RatScalar(self.num.bar(), self.den.bar())

@@ -230,6 +230,23 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: unexpected\n"
 
 
+def test_braid_convention_bug_exits_3(monkeypatch, capsys):
+    # NotInUqn is an ArithmeticError: an internal error, not bad input
+    import qminor.pbw
+    from qminor.qea import TriExpr
+
+    def leaky(w, m):
+        # a braid image that kept its F part
+        return TriExpr.f_gen(w.datum, 1).project_uplus()
+
+    monkeypatch.setattr(qminor.pbw, "f_pbw_monomial", leaky)
+    code, out, err = run_cli(["pbw", "coords", "--type", "A2",
+                              "--expr", "E1*E2"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: NotInUqn: ")
+    assert err.count("\n") == 1
+
+
 def test_check_exit_zero_on_pass(capsys):
     code, out, _ = run_cli(["check", "serre", "--type", "A3"], capsys)
     assert code == 0

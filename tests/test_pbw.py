@@ -1,6 +1,7 @@
 """Braid automorphisms, root vectors, PBW monomials/coordinates, dual
 normalizers, the d- and c-forms, straightening and the Ext order."""
 
+import functools
 import itertools
 
 import pytest
@@ -8,9 +9,11 @@ import pytest
 import qminor.pbw
 
 from qminor.scalars import RatScalar, LaurentPoly
-from qminor.rootdata import CartanDatum, ReducedWord, longest_word, form
+from qminor.rootdata import (CartanDatum, ReducedWord, longest_word, form,
+                             all_reduced_words_for_w0)
 from qminor.qea import (WordExpr, TriExpr, serre_element, expr_equal,
-                        canonical_form, pairing)
+                        canonical_form, pairing, tri_mul, _form_int,
+                        _alpha_vec)
 from qminor.pbw import (braid_T, root_vector, f_root_vector, pbw_monomial,
                         f_pbw_monomial, pbw_coordinates, data_of_weight,
                         pairing_em_fn, dual_pbw_normalizer,
@@ -18,7 +21,7 @@ from qminor.pbw import (braid_T, root_vector, f_root_vector, pbw_monomial,
                         straighten_commutator, ext_order, pbw_product,
                         datum_weight, weight_tuple, render_datum,
                         _normalizer_pair, _root_pairing_unit, _root_table,
-                        _root_norm, NotAUnit, StraighteningError)
+                        _root_norm, _root_unit, NotAUnit, StraighteningError)
 from qminor.checks import standard_words, weights_up_to
 from qminor.quiver import adapted_word, all_orientations
 
@@ -107,6 +110,88 @@ def test_root_vector_matsumoto_independence():
     w2 = ReducedWord(A3, (2, 1, 2, 3, 2, 1))
     assert w1.betas[3] == w2.betas[3]
     assert expr_equal(root_vector(w1, 4), root_vector(w2, 4))
+
+
+# -- the F side by the Chevalley involution ----------------------------------
+
+@functools.cache
+def _oracle_f_tri(datum, word):
+    """T_{i_1} ... T_{i_{k-1}}(F_{i_k}) by the braid automorphisms."""
+    if len(word) > 1:
+        return braid_T(word[0], _oracle_f_tri(datum, word[1:]))
+    return TriExpr.f_gen(datum, word[0])
+
+
+def _oracle_f_root_vector(w, k):
+    """F_{beta_k} by the braid route: the braid image of F_{i_k},
+    projected to the F side and scaled by the root unit u_k."""
+    zk = (0,) * w.datum.rank
+    terms = {}
+    for (f, kv, e), c in _oracle_f_tri(w.datum, w.word[:k]).terms.items():
+        assert not e and kv == zk, (f, kv, e)
+        terms[f] = c
+    return WordExpr(w.datum, terms, "F").scale(_root_unit(w, k))
+
+
+def _mirror_words(label):
+    datum = CartanDatum(label)
+    if label in ("A4", "D4"):
+        return _standard_and_adapted_words(datum)
+    return all_reduced_words_for_w0(datum)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "A3", "A4", "D4"])
+def test_f_root_vector_matches_braid_oracle(label):
+    # every reduced word of A1, A2, B2 and A3 (111 root vectors); the
+    # standard and adapted words of A4 and D4
+    for w in _mirror_words(label):
+        for k in range(1, len(w.word) + 1):
+            assert f_root_vector(w, k) == _oracle_f_root_vector(w, k), \
+                (w.word, k)
+
+
+def _omega(x):
+    """The Chevalley involution E_i <-> F_i, K_mu -> K_-mu on a TriExpr,
+    term by term through tri_mul (F * K * E becomes E * K^-1 * F)."""
+    datum = x.datum
+    zk = (0,) * datum.rank
+    out = TriExpr.zero(datum)
+    for (f, k, e), c in x.terms.items():
+        term = tri_mul(TriExpr(datum, {((), zk, f): RatScalar.one()}),
+                       TriExpr.k_elt(datum, tuple(-a for a in k)))
+        term = tri_mul(term, TriExpr(datum, {(e, zk, ()): RatScalar.one()}))
+        out = out + term.scale(c)
+    return out
+
+
+def _psi(i, x):
+    """Scale each term of weight lambda by
+    (-1)^<alpha_i^v, lambda> q^-(alpha_i, lambda)."""
+    datum = x.datum
+    terms = {}
+    for (f, k, e), c in x.terms.items():
+        lam = [0] * datum.rank
+        for j, m in e:
+            lam[j - 1] += m
+        for j, m in f:
+            lam[j - 1] -= m
+        p = _form_int(datum, _alpha_vec(datum, i), lam)
+        sign = -1 if (p // datum.d[i - 1]) % 2 else 1
+        terms[(f, k, e)] = c * qp(-p, sign)
+    return TriExpr(datum, terms)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "A3"])
+def test_braid_commutes_with_omega_up_to_psi(label):
+    # T_i(omega g) = Psi_i(omega T_i g), the lemma behind f_root_vector
+    datum = CartanDatum(label)
+    for i in datum.indices:
+        for j in datum.indices:
+            for g in (TriExpr.e_gen(datum, j), TriExpr.e_gen(datum, j, 2),
+                      TriExpr.f_gen(datum, j),
+                      TriExpr.k_elt(datum, _alpha_vec(datum, j))):
+                assert braid_T(i, _omega(g)) == \
+                    _psi(i, _omega(braid_T(i, g))), (i, j, g)
 
 
 # -- PBW monomials and coordinates ---------------------------------------------

@@ -8,8 +8,11 @@ from qminor.rootdata import CartanDatum
 from qminor.qea import (WordExpr, TriExpr, pairing, tri_mul, serre_element,
                         canonical_form, expr_equal, expr_is_zero,
                         sigma_eta, generator_pairing, word_to_plain,
-                        plain_factor, _pairing_core, _form_int, _alpha_vec)
-from qminor.pbw import pbw_monomial, f_pbw_monomial, data_of_weight
+                        plain_factor, _pairing_core, _form_int, _alpha_vec,
+                        canonicalize_word, plain_to_pairs, _normal_order,
+                        _wt_vec, _vec_add)
+from qminor.pbw import (pbw_monomial, f_pbw_monomial, data_of_weight,
+                        _braid_gen)
 from qminor.checks import standard_words, weights_up_to
 
 A2 = CartanDatum("A2")
@@ -217,3 +220,81 @@ def test_pairing_matches_oracle_off_weight_and_with_k_parts():
                       (((1, 1),), zk, ()): qp(4)})
     assert pairing(tx, ty) == _oracle_pairing(tx, ty)
     assert not pairing(tx, ty).is_zero()
+
+
+# -- the unfolded product loop, kept as the oracle ---------------------------
+
+def _oracle_tri_mul(x, y):
+    """The product in normal order with every scalar factor a reduced
+    RatScalar product: c1 c2, both plain-word factors, c, the q-power
+    shift and the merge binomials, per normal-order term."""
+    datum = x.datum
+    out = {}
+    for (f1, k1, e1), c1 in x.terms.items():
+        pe1 = word_to_plain(e1)
+        r1 = plain_factor(datum, e1)
+        for (f2, k2, e2), c2 in y.terms.items():
+            pf2 = word_to_plain(f2)
+            r2 = plain_factor(datum, f2)
+            base = c1 * c2 * r1 * r2
+            for fp, kp, ep, c in _normal_order(datum, pe1, pf2):
+                shift = (-_form_int(datum, k1, _wt_vec(datum, fp))
+                         - _form_int(datum, k2, _wt_vec(datum, ep)))
+                coeff = base * c * RatScalar.q_power(shift)
+                fw, ff = canonicalize_word(datum, f1 + plain_to_pairs(fp))
+                ew, ef = canonicalize_word(datum, plain_to_pairs(ep) + e2)
+                coeff = coeff * ff * ef
+                nk = (fw, _vec_add(_vec_add(k1, kp), k2), ew)
+                s = out.get(nk, RatScalar.zero()) + coeff
+                if s.is_zero():
+                    out.pop(nk, None)
+                else:
+                    out[nk] = s
+    return TriExpr(datum, out)
+
+
+def _braid_images(datum, m):
+    """T_i of E_j^(m), F_j^(m) and, for m = 1, K_{alpha_j}: K parts,
+    divided powers and non-Laurent coefficients on both sides."""
+    out = []
+    for i in datum.indices:
+        for j in datum.indices:
+            out.append(_braid_gen(datum, i, "E", j, m))
+            out.append(_braid_gen(datum, i, "F", j, m))
+            if m == 1:
+                out.append(_braid_gen(datum, i, "K", _alpha_vec(datum, j), 1))
+    return out
+
+
+@pytest.mark.parametrize("label", ["A2", "B2"])
+def test_tri_mul_matches_oracle_on_braid_images(label):
+    # every pair with a T_i(generator) factor; pairs of two squared
+    # images are left out (their normal ordering takes seconds on B2)
+    datum = CartanDatum(label)
+    ones = _braid_images(datum, 1)
+    for x in ones + _braid_images(datum, 2):
+        for y in ones:
+            assert tri_mul(x, y) == _oracle_tri_mul(x, y), (x, y)
+            assert tri_mul(y, x) == _oracle_tri_mul(y, x), (y, x)
+
+
+def test_tri_mul_matches_oracle_on_merges_and_shifts():
+    # K parts on both sides, E_1^(2) F_1^(2) through the normal order,
+    # merges into F_1^(3) and E_1^(3), and a coefficient with a pole
+    pole = RatScalar(LaurentPoly.q_power(1), LaurentPoly({0: 1, 2: 1}))
+    x = TriExpr(B2, {(((1, 1),), (1, 0), ((1, 2),)): pole,
+                     ((), (0, -1), ((2, 1), (1, 1))): qp(-1, 3)})
+    y = TriExpr(B2, {(((1, 2),), (1, 1), ((1, 1),)): qp(2),
+                     (((2, 1),), (0, 0), ()): pole})
+    prod = tri_mul(x, y)
+    assert prod == _oracle_tri_mul(x, y)
+    assert any(f == ((1, 3),) for f, _, _ in prod.terms)
+    assert tri_mul(y, x) == _oracle_tri_mul(y, x)
+    # merge binomials that share factors with the denominator: E_1^(3) E_1
+    # and F_1^(3) F_1 give [4] = q^-3 (1 + q^2)(1 + q^4), so the product
+    # must be reduced after the binomials join
+    half = RatScalar(LaurentPoly.q_power(0), LaurentPoly({0: 1, 2: 1}))
+    x = TriExpr(A2, {(((1, 3),), (0, 0), ((1, 3),)): half})
+    for y in (TriExpr.e_gen(A2, 1), TriExpr.f_gen(A2, 1)):
+        assert tri_mul(x, y) == _oracle_tri_mul(x, y)
+        assert tri_mul(y, x) == _oracle_tri_mul(y, x)

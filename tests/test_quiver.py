@@ -148,3 +148,13 @@ def test_typeA_flag_words():
         typeA_flag_word(A3, [5])
     with pytest.raises(ValueError):
         typeA_flag_word(CartanDatum("B2"), [1])
+
+
+def test_missing_adapted_word_raises_named_error(monkeypatch):
+    import qminor.quiver
+    from qminor.quiver import NoAdaptedWord
+    monkeypatch.setattr(qminor.quiver, "weyl_act",
+                        lambda datum, word, x: -x)
+    with pytest.raises(NoAdaptedWord, match="no adapted word for 2>1"):
+        adapted_word(parse_orientation(A2, "2>1"))
+    assert issubclass(NoAdaptedWord, ArithmeticError)

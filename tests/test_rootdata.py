@@ -140,3 +140,28 @@ def test_vec_coordinate_roundtrip():
     assert v.height() == 5
     assert v.is_positive()
     assert not (-v).is_positive()
+
+
+def _negative_weyl_act(datum, word, x):
+    """A broken Weyl action under which no root ever stays positive."""
+    return -x
+
+
+def test_stalled_searches_raise_named_errors(monkeypatch):
+    import qminor.rootdata
+    from qminor.rootdata import SearchStalled, NoDualVertex
+    d = CartanDatum("A2")
+    prefix = ReducedWord(d, (1,))
+    longest_word(d)         # cached, for dual_vertex below
+    monkeypatch.setattr(qminor.rootdata, "weyl_act", _negative_weyl_act)
+    with pytest.raises(SearchStalled, match="descent search stalled"):
+        longest_word.__wrapped__(d)
+    with pytest.raises(SearchStalled, match="completion stalled"):
+        reduced_completion(prefix)
+    # -w_0(alpha_1) = -(-alpha_1) under the broken action: not simple
+    monkeypatch.setattr(qminor.rootdata, "weyl_act",
+                        lambda datum, word, x: x + x)
+    with pytest.raises(NoDualVertex):
+        dual_vertex.__wrapped__(d, 1)
+    assert issubclass(SearchStalled, ArithmeticError)
+    assert issubclass(NoDualVertex, ArithmeticError)

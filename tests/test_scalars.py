@@ -310,6 +310,13 @@ def test_shift_neg_bar_need_no_zero_filter(raw, k):
         assert got == LaurentPoly(want)
 
 
+@settings(deadline=None)
+@given(_rat(), st.integers(-6, 6))
+def test_rat_shift_is_multiplication_by_q_power(a, k):
+    # skips the reduction: must agree structurally with the reduced product
+    assert a.shift(k) == a * rq(k)
+
+
 def _oracle_mul(a, b):
     """The double loop over both operands' terms, with no fast path."""
     res = {}
