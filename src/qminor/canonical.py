@@ -10,7 +10,7 @@ recursion over the right-lexicographic order.
 
 from functools import cache
 
-from .scalars import LaurentPoly, RatScalar
+from .scalars import LaurentPoly, RatScalar, add_term
 from .rootdata import Vec, weyl_act
 from .qea import WordExpr, _form_int
 from .pbw import (pbw_monomial, dual_pbw_normalizer, data_of_weight,
@@ -86,12 +86,7 @@ def dual_product(w, ca, cb):
         for n, cn in cb.items():
             pref = cm * cn
             for d, c in _dual_unit_product(w, m, n).items():
-                r = out.get(d)
-                r = pref * c if r is None else r + pref * c
-                if r.is_zero():
-                    out.pop(d, None)
-                else:
-                    out[d] = r
+                add_term(out, d, pref * c)
     return out
 
 
@@ -123,13 +118,7 @@ def sigma_eta_dual_coords(w, coords):
         f = dual_pbw_normalizer(w, n)
         pref = c.bar() * f.bar()
         for m, v in _sigma_eta_pbw_monomial(w, n).items():
-            r = acc.get(m)
-            t = pref * v
-            r = t if r is None else r + t
-            if r.is_zero():
-                acc.pop(m, None)
-            else:
-                acc[m] = r
+            add_term(acc, m, pref * v)
     return pbw_to_dual_coords(w, acc)
 
 
@@ -270,11 +259,7 @@ def expand_dual_canonical_coords(coords, w):
             out[n] = b
             for m, c in basis[n].items():
                 if m != n:
-                    r = rem.get(m, RatScalar.zero()) - b * c
-                    if r.is_zero():
-                        rem.pop(m, None)
-                    else:
-                        rem[m] = r
+                    add_term(rem, m, -(b * c))
         if rem:
             raise NotUnitriangular("unitriangular inversion left residue")
     return out

@@ -9,7 +9,7 @@ from .rootdata import (CartanDatum, ReducedWord, Vec, form, weyl_act,
                        longest_word, weights_up_to, reduced_completion,
                        reduced_word_for_w0)
 from .qea import (WordExpr, TriExpr, pairing, canonical_form, serre_element,
-                  _alpha_vec)
+                  _alpha_vec, _form_int)
 from . import pbw, canonical, quiver, mult
 
 
@@ -184,15 +184,14 @@ def check_prop32(label, height_bound, words=None):
     for w in (words or standard_words(datum)):
         for k in range(1, len(w.word) + 1):
             nk = canonical.flag_minor_datum(w, k)
-            nu = pbw.datum_weight(w, nk)
-            dc = canonical.dual_canonical_basis(
-                nu.root_coords_int(), w)[nk]
+            nu = pbw.weight_tuple(w, nk)
+            dc = canonical.dual_canonical_basis(nu, w)[nk]
             for mu in weights_up_to(datum, height_bound):
-                muv = Vec(datum, mu)
+                nu_mu = _form_int(datum, nu, mu)
                 for m in pbw.data_of_weight(w, mu):
                     dnm = pbw.d_form(w, nk, m)
                     dmn = pbw.d_form(w, m, nk)
-                    if dnm + dmn != int(form(nu, muv)):
+                    if dnm + dmn != nu_mu:
                         failures.append([list(w.word), k, list(m), "dsum"])
                     if dnm - dmn != pbw.c_form(w, nk, m):
                         failures.append([list(w.word), k, list(m), "c"])
@@ -208,14 +207,17 @@ def check_prop32(label, height_bound, words=None):
 
 # -- quiver side ---------------------------------------------------------------
 
+def _orientations(datum, orientation):
+    """The one parsed orientation, or all orientations when it is None."""
+    if orientation is not None:
+        return [quiver.parse_orientation(datum, orientation)]
+    return quiver.all_orientations(datum)
+
+
 def check_prop41(label, orientation=None):
     """d(iota M, iota N) = eps(N, M) - zeta(M, N) over all orientations
     (or one given orientation)."""
-    datum = CartanDatum(label)
-    if orientation is not None:
-        orients = [quiver.parse_orientation(datum, orientation)]
-    else:
-        orients = quiver.all_orientations(datum)
+    orients = _orientations(CartanDatum(label), orientation)
     failures = []
     for o in orients:
         w = quiver.adapted_word(o)
@@ -226,11 +228,7 @@ def check_prop41(label, orientation=None):
 
 def check_prop42(label, height_bound, orientation=None):
     """d(n_w, .) = eps(., M_k) and monotonicity along the Ext order."""
-    datum = CartanDatum(label)
-    if orientation is not None:
-        orients = [quiver.parse_orientation(datum, orientation)]
-    else:
-        orients = quiver.all_orientations(datum)
+    orients = _orientations(CartanDatum(label), orientation)
     failures = []
     for o in orients:
         w = quiver.adapted_word(o)
@@ -242,11 +240,7 @@ def check_prop42(label, height_bound, orientation=None):
 
 def check_thm51(label, height_bound, orientation=None):
     """The full multiplicativity harness; one orientation or all."""
-    datum = CartanDatum(label)
-    if orientation is not None:
-        orients = [quiver.parse_orientation(datum, orientation)]
-    else:
-        orients = quiver.all_orientations(datum)
+    orients = _orientations(CartanDatum(label), orientation)
     reports = [mult.verify_theorem_51(o, height_bound) for o in orients]
     failures = [v for r in reports for v in r["violations"]]
     out = _report(label, failures)
@@ -271,21 +265,19 @@ def check_claim43(label="A3"):
         checked += 1
         _, elt = canonical.flag_minor(w, len(prefix))
         target = canonical_form(elt)
-        if not any(_adapted_minor_match(wa, elt, target)
-                   for _, wa in adapted):
+        wt = elt.weight().root_coords_int()
+        if not any(cf == target for _, wa in adapted
+                   for _, cf in _same_weight_flag_minors(wa, wt)):
             failures.append([rows, list(prefix)])
     return _report(label, failures, minors_checked=checked)
 
 
-def _adapted_minor_match(wa, elt, target):
-    wt = elt.weight()
+def _same_weight_flag_minors(wa, wt):
+    """Yield (k, canonical form) for each flag minor of the word wa whose
+    weight is the int tuple wt, forming only those minors."""
     for k in range(1, len(wa.word) + 1):
-        nk = canonical.flag_minor_datum(wa, k)
-        if pbw.datum_weight(wa, nk) != wt:
-            continue
-        if canonical_form(canonical.flag_minor(wa, k)[1]) == target:
-            return True
-    return False
+        if pbw.weight_tuple(wa, canonical.flag_minor_datum(wa, k)) == wt:
+            yield k, canonical_form(canonical.flag_minor(wa, k)[1])
 
 
 def check_remark43():
@@ -296,24 +288,20 @@ def check_remark43():
     w = reduced_completion(ReducedWord(datum, (2, 1, 3, 2)))
     n, elt = canonical.flag_minor(w, 4)
     target = canonical_form(elt)
+    wt = elt.weight().root_coords_int()
     matches = []
     candidates = 0
     for o in quiver.all_orientations(datum):
-        wa = quiver.adapted_word(o)
-        wt = elt.weight()
-        for k in range(1, len(wa.word) + 1):
-            nk = canonical.flag_minor_datum(wa, k)
-            if pbw.datum_weight(wa, nk) != wt:
-                continue
+        for k, cf in _same_weight_flag_minors(quiver.adapted_word(o), wt):
             candidates += 1
-            if canonical_form(canonical.flag_minor(wa, k)[1]) == target:
+            if cf == target:
                 matches.append([o.render(), k])
     return {
         "schema": 1,
         "type": "D4",
         "word": list(w.word),
         "prefix": [2, 1, 3, 2],
-        "weight": list(elt.weight().root_coords_int()),
+        "weight": list(wt),
         "same_weight_candidates": candidates,
         "matches": matches,
         "ok": True,

@@ -18,7 +18,8 @@ pairing, one single-root pairing per (word, k).
 
 from functools import cache
 
-from .scalars import LaurentPoly, RatScalar, ONE, quantum_factorial
+from .scalars import (LaurentPoly, RatScalar, ONE, add_term,
+                      quantum_factorial)
 from .rootdata import reflect
 from .qea import WordExpr, TriExpr, tri_mul, pairing, _alpha_vec, _form_int
 
@@ -455,22 +456,13 @@ def _straighten_letters(w, letters):
     pre, suf = letters[:pos], letters[pos + 2:]
     unit = RatScalar.q_power(-_root_table(w)[1][x - 1][y - 1])
     acc = {}
-
-    def add(d, c):
-        r = acc.get(d)
-        r = c if r is None else r + c
-        if r.is_zero():
-            acc.pop(d, None)
-        else:
-            acc[d] = r
-
     for d, c in _straighten_letters(w, pre + (y, x) + suf).items():
-        add(d, unit * c)
+        add_term(acc, d, unit * c)
     for sm, sc in straighten_commutator(w, y, x).items():
         corr = unit * sc / _letter_factorial(w, sm)
         sub = pre + _letters_of_datum(sm) + suf
         for d, c in _straighten_letters(w, sub).items():
-            add(d, -(corr * c))
+            add_term(acc, d, -(corr * c))
     return acc
 
 
@@ -485,12 +477,7 @@ def pbw_product(w, ca, cb):
         for n, cn in cb.items():
             pref = (cm * cn) / (fm * _letter_factorial(w, n))
             for d, c in _straighten_letters(w, lm + _letters_of_datum(n)).items():
-                r = out.get(d)
-                r = pref * c if r is None else r + pref * c
-                if r.is_zero():
-                    out.pop(d, None)
-                else:
-                    out[d] = r
+                add_term(out, d, pref * c)
     return out
 
 

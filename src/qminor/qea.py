@@ -13,8 +13,8 @@ functools.cache wrappers that live as long as the process.
 
 from functools import cache
 
-from .scalars import (LaurentPoly, RatScalar, ZERO, ONE,
-                      quantum_factorial, quantum_binomial)
+from .scalars import (LaurentPoly, RatScalar, ZERO, ONE, add_term,
+                      join_signed, quantum_factorial, quantum_binomial)
 from .rootdata import Vec
 
 
@@ -110,6 +110,30 @@ def plain_words_of_weight(datum, mu):
     return tuple(out)
 
 
+def _word_factors(letter, word):
+    """The factors of a divided-power word as strings, e.g. ['E1', 'E2^(2)']."""
+    return ["%s%d" % (letter, i) if k == 1 else "%s%d^(%d)" % (letter, i, k)
+            for i, k in word]
+
+
+def _render_sum(items):
+    """Render the sum of c*body over (factor strings, RatScalar c) items;
+    an empty factor list is the unit 1, and no items render as '0'."""
+    parts = []
+    for factors, c in items:
+        body = "*".join(factors) or "1"
+        cs = c.render()
+        if cs == "1":
+            parts.append(body)
+        elif cs == "-1":
+            parts.append("-" + body)
+        else:
+            if "+" in cs or " - " in cs or "/" in cs:
+                cs = "(" + cs + ")"
+            parts.append(cs + "*" + body if factors else cs)
+    return join_signed(parts) if parts else "0"
+
+
 # -- expressions in U_q(n) (and its F-side mirror) ----------------------
 
 class WordExpr:
@@ -160,11 +184,7 @@ class WordExpr:
         self._check_compatible(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            s = terms.get(w, RatScalar.zero()) + c
-            if s.is_zero():
-                terms.pop(w, None)
-            else:
-                terms[w] = s
+            add_term(terms, w, c)
         return WordExpr(self.datum, terms, self.side)
 
     def __neg__(self):
@@ -191,12 +211,7 @@ class WordExpr:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w, f = canonicalize_word(self.datum, w1 + w2)
-                c = c1 * c2 * f
-                s = terms.get(w, RatScalar.zero()) + c
-                if s.is_zero():
-                    terms.pop(w, None)
-                else:
-                    terms[w] = s
+                add_term(terms, w, c1 * c2 * f)
         return WordExpr(self.datum, terms, self.side)
 
     def __rmul__(self, other):
@@ -253,13 +268,8 @@ class WordExpr:
         """Map plain word -> RatScalar, expanding divided powers."""
         out = {}
         for w, c in self.terms.items():
-            p = word_to_plain(w)
-            cc = c * plain_factor(self.datum, w)
-            s = out.get(p, RatScalar.zero()) + cc
-            if s.is_zero():
-                out.pop(p, None)
-            else:
-                out[p] = s
+            add_term(out, word_to_plain(w),
+                     c * plain_factor(self.datum, w))
         return out
 
     # -- symmetries -------------------------------------------------------
@@ -284,34 +294,8 @@ class WordExpr:
     # -- rendering ----------------------------------------------------
 
     def render(self):
-        if not self.terms:
-            return "0"
-        letter = self.side
-        parts = []
-        for w in sorted(self.terms):
-            c = self.terms[w]
-            if w:
-                body = "*".join(
-                    "%s%d" % (letter, i) if k == 1 else "%s%d^(%d)" % (letter, i, k)
-                    for i, k in w)
-            else:
-                body = "1"
-            cs = c.render()
-            if cs == "1":
-                parts.append(body if w else "1")
-            elif cs == "-1":
-                parts.append("-" + body if w else "-1")
-            else:
-                if ("+" in cs or (" - " in cs) or "/" in cs):
-                    cs = "(" + cs + ")"
-                parts.append(cs if not w else cs + "*" + body)
-        out = parts[0]
-        for p in parts[1:]:
-            if p.startswith("-"):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
-        return out
+        return _render_sum((_word_factors(self.side, w), self.terms[w])
+                           for w in sorted(self.terms))
 
     def __repr__(self):
         return "WordExpr[%s](%s)" % (self.side, self.render())
@@ -431,11 +415,7 @@ class TriExpr:
     def __add__(self, other):
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            s = terms.get(k, RatScalar.zero()) + c
-            if s.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = s
+            add_term(terms, k, c)
         return TriExpr(self.datum, terms)
 
     def __neg__(self):
@@ -482,35 +462,16 @@ class TriExpr:
         return WordExpr(self.datum, terms, "E")
 
     def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
+        items = []
         for key in sorted(self.terms):
             f, k, e = key
-            c = self.terms[key]
-            factors = []
-            for i, m in f:
-                factors.append("F%d" % i if m == 1 else "F%d^(%d)" % (i, m))
+            factors = _word_factors("F", f)
             if any(k):
                 lam = "+".join(("%d*a%d" % (c_, i + 1)) if c_ != 1 else "a%d" % (i + 1)
                                for i, c_ in enumerate(k) if c_)
                 factors.append("K[%s]" % lam)
-            for i, m in e:
-                factors.append("E%d" % i if m == 1 else "E%d^(%d)" % (i, m))
-            body = "*".join(factors) if factors else "1"
-            cs = c.render()
-            if cs == "1":
-                parts.append(body)
-            elif cs == "-1":
-                parts.append("-" + body)
-            else:
-                if "+" in cs or " - " in cs or "/" in cs:
-                    cs = "(" + cs + ")"
-                parts.append(cs + "*" + body if factors else cs)
-        out = parts[0]
-        for p in parts[1:]:
-            out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-        return out
+            items.append((factors + _word_factors("E", e), self.terms[key]))
+        return _render_sum(items)
 
     def __repr__(self):
         return "TriExpr(%s)" % self.render()
@@ -560,12 +521,7 @@ def _normal_order(datum, eplain, fplain):
                 # move K_k right past the new F letters
                 c3 = c * c2 * RatScalar.q_power(
                     -_form_int(datum, k, _wt_vec(datum, f2)))
-                nk = (f + f2, _vec_add(k, k2), h2)
-                s = nxt.get(nk, RatScalar.zero()) + c3
-                if s.is_zero():
-                    nxt.pop(nk, None)
-                else:
-                    nxt[nk] = s
+                add_term(nxt, (f + f2, _vec_add(k, k2), h2), c3)
         acc = nxt
     return tuple((f, k, h, c) for (f, k, h), c in acc.items())
 
@@ -599,13 +555,8 @@ def tri_mul(x, y):
                 binom = ff * ef
                 if not binom.is_one():
                     coeff = coeff * RatScalar.from_laurent(binom)
-                nk = (fw, _vec_add(_vec_add(k1, kp), k2), ew)
-                s = out.get(nk)
-                s = coeff if s is None else s + coeff
-                if s.is_zero():
-                    out.pop(nk, None)
-                else:
-                    out[nk] = s
+                add_term(out, (fw, _vec_add(_vec_add(k1, kp), k2), ew),
+                         coeff)
     return TriExpr(datum, out)
 
 
@@ -697,7 +648,7 @@ def pairing(x, y):
                     core.shift(-_form_int(datum, lam, mu)))
         if not acc.is_zero():
             acc = acc * c1 * plain_factor(datum, e1)
-            sums[counts] = sums[counts] + acc if counts in sums else acc
+            add_term(sums, counts, acc)
     total = RatScalar.zero()
     for counts, val in sums.items():
         total = total + val * _content_pairing(datum, counts)

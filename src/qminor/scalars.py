@@ -165,16 +165,40 @@ class LaurentPoly:
                 else:
                     term = "%d*%s" % (c, qpow)
             parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            if term.startswith("-"):
-                out += " - " + term[1:]
-            else:
-                out += " + " + term
-        return out
+        return join_signed(parts)
 
     def __repr__(self):
         return "LaurentPoly(%s)" % self.render()
+
+
+def join_signed(parts):
+    """Join rendered terms into a sum: a term with a leading '-' is
+    subtracted, so ['a', '-b', 'c'] gives 'a - b + c'."""
+    out = parts[0]
+    for term in parts[1:]:
+        if term.startswith("-"):
+            out += " - " + term[1:]
+        else:
+            out += " + " + term
+    return out
+
+
+def add_term(acc, key, c):
+    """acc[key] += c on a sparse dict of ring elements, in place.
+
+    acc holds no zero value and keeps holding none: a key not yet present
+    stores c itself, untouched by any arithmetic (so a reduced RatScalar
+    is not reduced again), unless c is zero; a key whose sum is zero is
+    removed.  The result equals acc.get(key, zero) + c with the zeros
+    dropped, value for value and in the same key order.
+    """
+    s = acc.get(key)
+    if s is not None:
+        c = s + c
+    if c.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = c
 
 
 def _as_laurent(x):

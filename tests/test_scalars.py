@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 import qminor
 from qminor.scalars import (LaurentPoly, RatScalar, quantum_integer,
                             quantum_factorial, quantum_binomial, laurent_gcd,
-                            InexactDivision, _exact_divide, _reduce,
-                            _to_dense, _normalize_poly)
+                            add_term, InexactDivision, _exact_divide,
+                            _reduce, _to_dense, _normalize_poly)
 
 
 def q(k, c=1):
@@ -358,3 +358,64 @@ def test_laurent_rat_mul_add_match_general_construction(a, b):
     for got, want in ((a * b, mul), (a + b, add)):
         assert (got.num, got.den) == (want.num, want.den)
         assert 0 not in got.num.coeffs.values()
+
+
+# -- sparse accumulation ----------------------------------------------------------
+
+def _oracle_add_term(acc, key, c):
+    """The loop add_term replaced: add to a stored zero, drop a zero sum."""
+    s = acc.get(key, RatScalar.zero()) + c
+    if s.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = s
+
+
+_add_operand = (st.just(RatScalar.zero())
+                | st.sampled_from([RatScalar.one(), -RatScalar.one()])
+                | st.builds(rq, st.integers(-4, 4), st.sampled_from([1, -1]))
+                | _rat())
+
+
+@st.composite
+def _add_ops(draw):
+    """(key, c) additions on a few keys, then the negations of some of
+    them, so that sums cancel."""
+    ops = draw(st.lists(st.tuples(st.integers(0, 3), _add_operand),
+                        max_size=8))
+    if ops:
+        undo = draw(st.lists(st.sampled_from(ops), max_size=len(ops)))
+        ops += [(k, -c) for k, c in undo]
+    return ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(_add_ops())
+def test_add_term_matches_add_to_zero_loop(ops):
+    got, want = {}, {}
+    for key, c in ops:
+        add_term(got, key, c)
+        _oracle_add_term(want, key, c)
+        assert list(got.items()) == list(want.items())
+        assert not any(v.is_zero() for v in got.values())
+
+
+def test_word_sum_on_disjoint_keys_takes_no_gcd(monkeypatch):
+    # a new key stores the coefficient as it is: no reduction, so no gcd
+    from qminor import scalars
+    from qminor.qea import WordExpr
+    from qminor.rootdata import CartanDatum
+    datum = CartanDatum("A2")
+    c = RatScalar(q(0), q(0) - q(2))
+    x = WordExpr(datum, {((1, 1),): c, ((1, 1), (2, 1)): c * rq(1)})
+    y = WordExpr(datum, {((2, 1),): -c, ((2, 1), (1, 1)): c + rq(3)})
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return laurent_gcd(a, b)
+
+    monkeypatch.setattr(scalars, "laurent_gcd", counting_gcd)
+    total = x + y
+    assert calls == []
+    assert total.terms == {**x.terms, **y.terms}
