@@ -110,10 +110,47 @@ def braid_T(i, x):
 @cache
 def _root_tri(datum, word):
     """T_{i_1} ... T_{i_{k-1}}(E_{i_k}) in U_q(g), where
-    word = (i_1, ..., i_k).  Shared suffix recursion."""
+    word = (i_1, ..., i_k).  Shared suffix recursion.
+
+    The cache is keyed by the word that _root_word shortens, not by the
+    full prefix: root_vector passes word[:r-1] + (j,), where the tail
+    T_{i_r} ... T_{i_{k-1}}(E_{i_k}) of the chain is E_j.  That tail is
+    itself the braid image of a root vector of the reduced word
+    (i_r, ..., i_k), so it has no F or K part (root_vector raises
+    NotInUqn otherwise).  Its weight is alpha_j, and the only word of
+    weight alpha_j is (j,), so it is c E_j, and the lemma in _root_word
+    gives c = 1.  So it is structurally TriExpr.e_gen(datum, j), the
+    T_{i_1} ... T_{i_{r-1}} that follow see the same input, and the
+    shortened key gives a TriExpr equal term for term to the full
+    prefix's.
+    """
     if len(word) > 1:
         return braid_T(word[0], _root_tri(datum, word[1:]))
     return TriExpr.e_gen(datum, word[0])
+
+
+def _root_word(datum, word):
+    """The shortest key for _root_tri that gives the root vector of
+    word = (i_1, ..., i_k).
+
+    Follow gamma_k = alpha_{i_k}, gamma_r = s_{i_r}(gamma_{r+1}) on int
+    root coordinates.  At the smallest r where gamma_r is a simple root
+    alpha_j, return word[:r-1] + (j,).  Lemma: if v is a Weyl element
+    with v(alpha_i) = alpha_j, then T_v(E_i) = E_j, with T_v taken along
+    any reduced expression of v (Jantzen, Lectures on Quantum Groups,
+    8.20; Lusztig, Introduction to Quantum Groups, ch. 39).  A run of
+    letters of a reduced word is reduced, so
+    T_{i_r} ... T_{i_{k-1}}(E_{i_k}) = E_j.
+    """
+    gamma = [0] * datum.rank
+    gamma[word[-1] - 1] = 1
+    cut, j = len(word) - 1, word[-1]
+    for r in range(len(word) - 2, -1, -1):
+        i = word[r]
+        gamma[i - 1] -= sum(a * c for a, c in zip(datum.cartan[i - 1], gamma))
+        if sum(gamma) == 1:     # a positive root of height 1
+            cut, j = r, 1 + gamma.index(1)
+    return word[:cut] + (j,)
 
 
 @cache
@@ -141,10 +178,18 @@ def _root_unit(w, k):
 def root_vector(w, k):
     """E_{beta_k} for the reduced word w, as a UPlusExpr.
 
+    The braid chain T_{i_1} ... T_{i_{k-1}}(E_{i_k}) starts at its last
+    simple root: if gamma_r = s_{i_r} ... s_{i_{k-1}}(alpha_{i_k}) is a
+    simple root alpha_j, then T_{i_r} ... T_{i_{k-1}}(E_{i_k}) = E_j
+    (Jantzen, Lectures on Quantum Groups, 8.20; Lusztig, Introduction to
+    Quantum Groups, ch. 39).  _root_word finds the smallest such r, and
+    _root_tri evaluates only T_{i_1} ... T_{i_{r-1}}(E_j), which is term
+    for term the TriExpr of the full chain (see _root_tri).
+
     Raises NotInUqn if the braid image fails to land in U_q(n): that
     signals a convention bug, not a user error.
     """
-    x = _root_tri(w.datum, w.word[:k]).project_uplus()
+    x = _root_tri(w.datum, _root_word(w.datum, w.word[:k])).project_uplus()
     return x.scale(_root_unit(w, k))
 
 

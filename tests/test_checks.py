@@ -1,6 +1,8 @@
 """The named verification suites: structure of the reports and small
 exhaustive runs of each suite."""
 
+import pytest
+
 import qminor.pbw
 
 from qminor.scalars import LaurentPoly, RatScalar
@@ -38,6 +40,12 @@ def test_serre_suite():
     for label in ("A2", "A3", "B2", "D4"):
         r = check_serre(label)
         assert r["ok"] and r["failures"] == []
+
+
+def test_serre_suite_with_no_relation_is_an_error():
+    # A1 has no pair i != j, so the suite would examine nothing
+    with pytest.raises(ValueError, match="A1 has no Serre relation"):
+        check_serre("A1")
 
 
 def test_pairing_suite():

@@ -202,6 +202,10 @@ def test_vacuous_height_is_a_usage_error(argv, capsys):
     (["mult-scan", "--type", "A2", "--orientation", "1>2,1>2",
       "--height", "2"],
      "error: duplicate edge among arrows [(1, 2), (1, 2)]\n"),
+    (["check", "remark43", "--type", "A1"],
+     "error: remark43 is a D4 check, not A1\n"),
+    (["check", "serre", "--type", "A1"],
+     "error: A1 has no Serre relation\n"),
 ])
 def test_invalid_input_is_a_usage_error(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)

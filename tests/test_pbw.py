@@ -10,7 +10,7 @@ import qminor.pbw
 
 from qminor.scalars import RatScalar, LaurentPoly
 from qminor.rootdata import (CartanDatum, ReducedWord, longest_word, form,
-                             all_reduced_words_for_w0)
+                             weyl_act, all_reduced_words_for_w0)
 from qminor.qea import (WordExpr, TriExpr, serre_element, expr_equal,
                         canonical_form, pairing, tri_mul, _form_int,
                         _alpha_vec)
@@ -21,7 +21,8 @@ from qminor.pbw import (braid_T, root_vector, f_root_vector, pbw_monomial,
                         straighten_commutator, ext_order, pbw_product,
                         datum_weight, weight_tuple, render_datum,
                         _normalizer_pair, _root_pairing_unit, _root_table,
-                        _root_norm, _root_unit, NotAUnit, StraighteningError)
+                        _root_norm, _root_unit, _root_tri, _root_word,
+                        NotAUnit, StraighteningError)
 from qminor.checks import standard_words, weights_up_to
 from qminor.quiver import adapted_word, all_orientations
 
@@ -110,6 +111,61 @@ def test_root_vector_matsumoto_independence():
     w2 = ReducedWord(A3, (2, 1, 2, 3, 2, 1))
     assert w1.betas[3] == w2.betas[3]
     assert expr_equal(root_vector(w1, 4), root_vector(w2, 4))
+
+
+# -- braid chains that start at their last simple root ----------------------
+
+def test_root_word_cases():
+    # k = 1: the root vector is the generator itself
+    assert _root_word(A2, (1,)) == (1,)
+    # s_1 s_2 (alpha_1) = alpha_2, so T_1 T_2 (E_1) = E_2
+    assert _root_word(A2, (1, 2, 1)) == (2,)
+    # gamma_2 = alpha_1 + alpha_2 is not simple: nothing to cut
+    assert _root_word(A2, (1, 2)) == (1, 2)
+    # s_1 fixes alpha_3 in A3, so gamma stays simple through the letter 1
+    assert _root_word(A3, (1, 3)) == (3,)
+    assert _root_word(A3, (2, 1, 3)) == (2, 3)
+    # alpha_2 -> alpha_2 + alpha_3 -> alpha_1 + alpha_2 + alpha_3, which
+    # s_2 fixes
+    assert _root_word(A3, (2, 1, 3, 2)) == (2, 1, 3, 2)
+    # B2: alpha_2 -> 2 alpha_1 + alpha_2 -> 2 alpha_1 + alpha_2 -> alpha_2
+    assert _root_word(B2, (1, 2, 1, 2)) == (2,)
+    assert _root_word(B2, (2, 1, 2, 1)) == (1,)
+    assert _root_word(B2, (2, 1, 2)) == (2, 1, 2)
+    # the cut is taken at the smallest r, past a non-simple gamma
+    assert _root_word(A3, (3, 2, 1, 3, 2, 3)) == (1,)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "A3", "A4", "D4"])
+def test_root_word_gives_identical_braid_images(label):
+    # the full-prefix braid chain is the oracle: equal term for term, in
+    # the same order, so every root vector and its render stay the same
+    datum = CartanDatum(label)
+    for w in _mirror_words(label):
+        for k in range(1, len(w.word) + 1):
+            full = _root_tri(datum, w.word[:k])
+            short = _root_tri(datum, _root_word(datum, w.word[:k]))
+            assert full == short, (w.word, k)
+            assert list(full.terms) == list(short.terms), (w.word, k)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "A3", "A4", "D4"])
+def test_braid_chain_returns_generator_at_simple_root(label):
+    # T_{i_r} ... T_{i_{k-1}}(E_{i_k}) = E_j whenever
+    # s_{i_r} ... s_{i_{k-1}}(alpha_{i_k}) = alpha_j
+    datum = CartanDatum(label)
+    simple = {datum.alpha(j): j for j in datum.indices}
+    seen = 0
+    for w in _mirror_words(label):
+        for k in range(1, len(w.word) + 1):
+            for r in range(1, k + 1):
+                gamma = weyl_act(datum, w.word[r - 1:k - 1],
+                                 datum.alpha(w.word[k - 1]))
+                if gamma in simple:
+                    seen += r < k
+                    assert _root_tri(datum, w.word[r - 1:k]) == \
+                        TriExpr.e_gen(datum, simple[gamma]), (w.word, k, r)
+    assert seen or label == "A1"
 
 
 # -- the F side by the Chevalley involution ----------------------------------
