@@ -16,7 +16,8 @@ from .qea import WordExpr, _form_int
 from .pbw import (pbw_monomial, dual_pbw_normalizer, data_of_weight,
                   check_datum, datum_weight, weight_tuple, render_datum,
                   rlex_less, root_vector, pbw_coordinates, pbw_product,
-                  _letter_factorial)
+                  straighten_commutator, _letter_factorial, _letters_of_datum,
+                  _datum_of_letters, _root_table)
 
 
 class NotUnitriangular(ArithmeticError):
@@ -55,11 +56,12 @@ def from_dual_pbw(w, coords):
 # -- coordinate-level algebra ------------------------------------------------
 #
 # Dual-PBW coordinate dicts {datum: RatScalar} support exact products and
-# sigma_eta through PBW straightening, with no pairing evaluation at the
-# (possibly large) product weight.  Products read a per-word table of
-# E(m)* E(n)*, each entry straightened once; its coefficients are Laurent
-# (the dual PBW basis spans a Z[q, q^-1]-form), so a product of
-# Z[q]-coordinates is a sum of denominator-free multiply-adds.
+# sigma_eta with no pairing evaluation at the (possibly large) product
+# weight.  Products read a per-word table of E(m)* E(n)*, each entry
+# straightened once in the dual root vectors E*_k over Z[q, q^-1] (the
+# dual PBW basis spans an integral form), so a product of
+# Z[q]-coordinates is a sum of denominator-free multiply-adds.  sigma_eta
+# still straightens in PBW coordinates.
 
 def dual_to_pbw_coords(w, coords):
     """E(m)* = f_m E(m): convert {E(m)*}-coordinates to {E(m)}-coordinates."""
@@ -70,12 +72,90 @@ def pbw_to_dual_coords(w, coords):
     return {m: c / dual_pbw_normalizer(w, m) for m, c in coords.items()}
 
 
+class NonLaurentStraightening(ArithmeticError):
+    """A dual straightening coefficient S* is not a Laurent polynomial
+    (convention bug)."""
+
+
+def _letter_exponent(w, m):
+    """e(m) = sum_k d_k m_k (m_k - 1)/2 with d_k = (beta_k, beta_k)/2, so
+    that E(m)* = q^e(m) E*_1^m_1 ... E*_N^m_N."""
+    gram = _root_table(w)[1]
+    return sum(gram[k][k] // 2 * c * (c - 1) // 2 for k, c in enumerate(m))
+
+
+@cache
+def _dual_commutator(w, k, kp):
+    """S* for k < k': E*_k' E*_k = q^-(beta_k, beta_k') (E*_k E*_k'
+    - sum_m S*[m] E(m)*), as {datum: LaurentPoly}.
+
+    With E*_k = f_{e_k} E_{beta_k}, scaling straighten_commutator's law
+    by f_{e_k} f_{e_k'} = f_{e_k + e_k'} gives S*[m] = f_{e_k + e_k'} S[m]
+    / f_m.  Raises NonLaurentStraightening if a coefficient is not in
+    Z[q, q^-1].
+    """
+    one = RatScalar.one()
+    lead = tuple(int(t in (k - 1, kp - 1)) for t in range(len(w.word)))
+    f = dual_to_pbw_coords(w, {lead: one})[lead]
+    out = {}
+    for m, c in pbw_to_dual_coords(w, {
+            m: f * c for m, c in straighten_commutator(w, k, kp).items()
+            }).items():
+        if not c.is_laurent():
+            raise NonLaurentStraightening(
+                "S* of E*_%d E*_%d on %s has %s at %s"
+                % (kp, k, w.render(), c.render(), render_datum(m)))
+        out[m] = c.as_laurent()
+    return out
+
+
+@cache
+def _straighten_dual_letters(w, letters):
+    """Dual-PBW coordinates {datum: LaurentPoly} of E*_{l_1} ... E*_{l_r}
+    for any sequence of root indices, where E*_k = (1 - q^(beta_k,
+    beta_k)) E_{beta_k} = E(e_k)*.
+
+    Both facts used come from Lusztig's product formula
+    f_m = prod_k prod_{s=1..m_k} (1 - q^{2 s d_k}), d_k = (beta_k, beta_k)/2.
+    Base case, E(m)* = q^e(m) E*_1^m_1 ... E*_N^m_N (_letter_exponent):
+    E_{beta_k}^c = [c]_{d_k}! E_{beta_k}^(c), and q^{ds} - q^{-ds} =
+    -q^{-ds} (1 - q^{2ds}) gives (1 - q^{2d}) [s]_d = q^{d(1-s)}
+    (1 - q^{2ds}), so E*_k^c = q^{-d_k c(c-1)/2} prod_{s=1..c}
+    (1 - q^{2 s d_k}) E_{beta_k}^(c); in word order these multiply to
+    q^-e(m) f_m E(m) = q^-e(m) E(m)*.  Swap law, for k < k':
+    E*_k' E*_k = q^-(beta_k, beta_k') (E*_k E*_k' - sum_m S*[m] E(m)*)
+    (_dual_commutator), and each E(m)* is again q^e(m) times sorted
+    letters.  Each step removes an adjacent inversion or replaces a pair
+    by strictly intermediate letters, so the recursion ends, and with
+    S* Laurent every coefficient stays in Z[q, q^-1].
+    """
+    pos = next((i for i in range(len(letters) - 1)
+                if letters[i] > letters[i + 1]), None)
+    if pos is None:
+        m = _datum_of_letters(len(w.word), letters)
+        return {m: LaurentPoly.q_power(-_letter_exponent(w, m))}
+    x, y = letters[pos], letters[pos + 1]
+    pre, suf = letters[:pos], letters[pos + 2:]
+    b = _root_table(w)[1][x - 1][y - 1]
+    acc = {}
+    for d, c in _straighten_dual_letters(w, pre + (y, x) + suf).items():
+        add_term(acc, d, c.shift(-b))
+    for sm, sc in _dual_commutator(w, y, x).items():
+        corr = sc.shift(_letter_exponent(w, sm) - b)
+        sub = pre + _letters_of_datum(sm) + suf
+        for d, c in _straighten_dual_letters(w, sub).items():
+            add_term(acc, d, -(corr * c))
+    return acc
+
+
 @cache
 def _dual_unit_product(w, m, n):
-    """E(m)* E(n)* in dual-PBW coordinates, straightened in PBW ones."""
-    one = RatScalar.one()
-    return pbw_to_dual_coords(w, pbw_product(
-        w, dual_to_pbw_coords(w, {m: one}), dual_to_pbw_coords(w, {n: one})))
+    """E(m)* E(n)* in dual-PBW coordinates: q^(e(m) + e(n)) times the
+    straightened letters of m followed by those of n."""
+    e = _letter_exponent(w, m) + _letter_exponent(w, n)
+    letters = _letters_of_datum(m) + _letters_of_datum(n)
+    return {d: RatScalar.from_laurent(c.shift(e))
+            for d, c in _straighten_dual_letters(w, letters).items()}
 
 
 def dual_product(w, ca, cb):

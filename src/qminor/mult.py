@@ -7,7 +7,7 @@ all q-commuting pairs (monomial in flag minors) x (basis element) up to a
 height bound and verifies single-term expansion and the lattice congruence
 q^{d(m,m')} B(m)* B(m')* = B(m+m')* mod qL*.  All products are bilinear
 sums over canonical's per-word table of dual-PBW products E(m)* E(n)*,
-each entry straightened once in PBW coordinates.
+each entry straightened once in dual root vectors over Z[q, q^-1].
 """
 
 from .scalars import RatScalar

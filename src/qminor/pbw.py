@@ -292,11 +292,17 @@ def _divided_root_power(w, k, c, side):
 
 def data_of_weight(w, mu):
     """All Lusztig data m with sum m_k beta_k = mu, sorted ascending
-    for rlex (right-lexicographic)."""
-    betas = _root_table(w)[0]
+    for rlex (right-lexicographic), as a fresh list."""
     if hasattr(mu, "root_coords_int"):
         mu = mu.root_coords_int()
-    mu = tuple(int(c) for c in mu)
+    return list(_data_of_weight(w, tuple(int(c) for c in mu)))
+
+
+@cache
+def _data_of_weight(w, mu):
+    """data_of_weight as a tuple, searched once per (word, weight tuple);
+    __wrapped__ is the uncached search."""
+    betas = _root_table(w)[0]
     rank = len(mu)
     N = len(betas)
     out = []
@@ -317,7 +323,7 @@ def data_of_weight(w, mu):
     search(N - 1, mu, [])
     # the search emits ascending in the last coordinate first: sort rlex
     out.sort(key=lambda m: tuple(reversed(m)))
-    return out
+    return tuple(out)
 
 
 def pairing_em_fn(w, m, n):
@@ -369,14 +375,19 @@ def dual_pbw_normalizer(w, m):
     return _normalizer_pair(w, check_datum(w, m))[0]
 
 
+def _pbw_coordinate(x, w, m):
+    """c_m = (x, F(m))/(E(m), F(m)) for x homogeneous of the weight of m."""
+    f, u = _normalizer_pair(w, m)
+    return pairing(x, f_pbw_monomial(w, m)) * f * u
+
+
 def pbw_coordinates(x, w):
     """The expansion x = sum c_m E(m) via c_m = (x, F(m))/(E(m), F(m)),
     as a dict {datum: RatScalar} of the nonzero coordinates."""
     coeffs = {}
     for mu, comp in x.homogeneous_components().items():
-        for m in data_of_weight(w, mu):
-            f, u = _normalizer_pair(w, m)
-            c = pairing(comp, f_pbw_monomial(w, m)) * f * u
+        for m in _data_of_weight(w, mu):
+            c = _pbw_coordinate(comp, w, m)
             if not c.is_zero():
                 coeffs[m] = c
     return coeffs
@@ -438,22 +449,30 @@ def straighten_commutator(w, k, kp):
 
     E_{beta_k} E_{beta_k'} is the PBW monomial E(e_k + e_k'), so only the
     reversed product is paired.  Its coefficient on e_k + e_k' must be
-    q^{-(beta_k, beta_k')}, else StraighteningError; the remaining support
-    lies strictly between k and k'.
+    q^{-(beta_k, beta_k')}, else StraighteningError.  By the convexity of
+    Levendorskii-Soibelman (Comm. Math. Phys. 139, 1991) the rest of its
+    support lies strictly between k and k', so it is paired only against
+    e_k + e_k' and the data of that weight supported inside (k, k').
     """
     if not 1 <= k < kp <= len(w.word):
         raise ValueError("need 1 <= k < k' <= N, got (%d, %d)" % (k, kp))
     N = len(w.word)
     lead = tuple(1 if t in (k - 1, kp - 1) else 0 for t in range(N))
     b = _root_table(w)[1][k - 1][kp - 1]
-    backward = pbw_coordinates(root_vector(w, kp) * root_vector(w, k), w)
-    lead_b = backward.pop(lead, RatScalar.zero())
+    x = root_vector(w, kp) * root_vector(w, k)
+    lead_b = _pbw_coordinate(x, w, lead)
     if lead_b != RatScalar.q_power(-b):
         raise StraighteningError(
             "coefficient of %s in E_%d E_%d of %s is %s, not q^%d"
             % (render_datum(lead), kp, k, w.render(), lead_b.render(), -b))
     scale = RatScalar.q_power(b, -1)
-    return {m: scale * c for m, c in backward.items()}
+    out = {}
+    for m in _data_of_weight(w, weight_tuple(w, lead)):
+        if not any(m[:k]) and not any(m[kp - 1:]):
+            c = _pbw_coordinate(x, w, m)
+            if not c.is_zero():
+                out[m] = scale * c
+    return out
 
 
 # -- products in PBW coordinates ----------------------------------------------

@@ -8,11 +8,13 @@ import qminor.canonical
 
 from qminor.scalars import RatScalar, LaurentPoly
 from qminor.rootdata import (CartanDatum, ReducedWord, longest_word, form,
-                             Vec, weyl_act, weights_up_to)
+                             Vec, weyl_act, weights_up_to,
+                             all_reduced_words_for_w0)
 from qminor.qea import WordExpr, expr_equal, sigma_eta
 from qminor.pbw import (pbw_monomial, dual_pbw_normalizer, data_of_weight,
                         rlex_less, datum_weight, weight_tuple,
-                        pbw_coordinates, pbw_product, straighten_commutator)
+                        pbw_coordinates, pbw_product, straighten_commutator,
+                        unit_datum)
 from qminor.canonical import (dual_pbw_element, dual_pbw_expansion,
                               from_dual_pbw, sigma_eta_dual_coords,
                               eigen_scalar, bar_matrix, dual_canonical_basis,
@@ -22,7 +24,8 @@ from qminor.canonical import (dual_pbw_element, dual_pbw_expansion,
                               flag_minor_datum, flag_minor, demazure_flag,
                               basis_element_json, dual_product,
                               dual_to_pbw_coords, pbw_to_dual_coords,
-                              _dual_unit_product, NotUnitriangular,
+                              _dual_unit_product, _dual_commutator,
+                              NotUnitriangular, NonLaurentStraightening,
                               FlagMinorWeightMismatch)
 from qminor.checks import standard_words
 from qminor.quiver import adapted_word, all_orientations
@@ -115,12 +118,79 @@ def test_dual_product_matches_oracle(label):
 @pytest.mark.parametrize("label", sorted(PRODUCT_HEIGHTS))
 def test_dual_unit_products_are_laurent(label):
     # Every table entry E(m)* E(n)* has Laurent coordinates, as the dual
-    # PBW basis spans a Z[q, q^-1]-form.  Products stay correct without
-    # this; only their denominator-free fast path depends on it.
+    # PBW basis spans a Z[q, q^-1]-form.  The table is straightened over
+    # Z[q, q^-1], so this holds once every S* is Laurent (checked below).
     for w in _standard_and_adapted_words(CartanDatum(label)):
         for m, n in _data_pairs(w, PRODUCT_HEIGHTS[label]):
             for c in _dual_unit_product(w, m, n).values():
                 assert c.is_laurent(), (w, m, n, c.render())
+
+
+def _letter_product(w, m):
+    """q^e(m) E*_1^m_1 ... E*_N^m_N as an element, with E*_k = E(e_k)* and
+    e(m) = sum_k (beta_k, beta_k)/2 * m_k (m_k - 1)/2."""
+    N = len(w.word)
+    x = WordExpr.one(w.datum)
+    e = 0
+    for k, c in enumerate(m, start=1):
+        if c:
+            x = x * dual_pbw_element(w, unit_datum(N, k)) ** c
+            b = w.betas[k - 1]
+            e += int(form(b, b)) // 2 * c * (c - 1) // 2
+    return x.scale(qp(e))
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "A3"])
+def test_dual_pbw_element_is_q_power_times_letters(label):
+    # The base case of the dual-letter straightening, as elements: every
+    # datum up to height 3, on every reduced word of A2 and B2 (B2 has
+    # d_k = 1 and 2) and the standard words of A3.
+    datum = CartanDatum(label)
+    words = (standard_words(datum) if label == "A3"
+             else all_reduced_words_for_w0(datum))
+    for w in words:
+        for mu in weights_up_to(datum, 3):
+            for m in data_of_weight(w, mu):
+                assert expr_equal(dual_pbw_element(w, m),
+                                  _letter_product(w, m)), (w.word, m)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "A3", "A4", "D4"])
+def test_dual_commutator_is_laurent(label):
+    # S*[m] = f_{e_k + e_k'} S[m] / f_m is in Z[q, q^-1] for every pair of
+    # every reduced word of A2, B2 and A3, of the standard and adapted
+    # words of A4, and of the standard words of D4 (_dual_commutator
+    # raises otherwise).  The adapted words of D4 take 14 s of pairings,
+    # so CI checks them in a step of their own.
+    datum = CartanDatum(label)
+    if datum.rank <= 3:
+        words = all_reduced_words_for_w0(datum)
+    elif label == "D4":
+        words = standard_words(datum)
+    else:
+        words = _standard_and_adapted_words(datum)
+    for w in words:
+        N = len(w.word)
+        for k in range(1, N + 1):
+            for kp in range(k + 1, N + 1):
+                lead = tuple(a + b for a, b in
+                             zip(unit_datum(N, k), unit_datum(N, kp)))
+                f = dual_pbw_normalizer(w, lead)
+                expected = {m: f * c / dual_pbw_normalizer(w, m)
+                            for m, c in straighten_commutator(w, k, kp).items()}
+                got = _dual_commutator(w, k, kp)
+                assert {m: RatScalar.from_laurent(c)
+                        for m, c in got.items()} == expected, (w.word, k, kp)
+
+
+def test_non_laurent_dual_commutator_raises(non_laurent_commutator):
+    # the fixture swaps in fresh caches: call them through the module
+    with pytest.raises(NonLaurentStraightening,
+                       match=r"S\* of E\*_3 E\*_1 on .* at \[0,1,0\]"):
+        qminor.canonical._dual_commutator(W_A2, 1, 3)
+    with pytest.raises(NonLaurentStraightening):
+        dual_product(W_A2, {(0, 0, 1): RatScalar.one()},
+                     {(1, 0, 0): RatScalar.one()})
 
 
 def test_dual_product_cancels_and_handles_empty_factors():

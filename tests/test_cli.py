@@ -251,6 +251,16 @@ def test_braid_convention_bug_exits_3(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+def test_non_laurent_straightening_exits_3(non_laurent_commutator, capsys):
+    # a non-Laurent S* is a convention bug, not bad input
+    code, out, err = run_cli(["mult-scan", "--type", "A2",
+                              "--orientation", "2>1", "--height", "2"],
+                             capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: NonLaurentStraightening: ")
+    assert err.count("\n") == 1
+
+
 def test_check_exit_zero_on_pass(capsys):
     code, out, _ = run_cli(["check", "serre", "--type", "A3"], capsys)
     assert code == 0

@@ -286,6 +286,25 @@ def test_pbw_coordinates_of_serre_is_empty():
     assert exp == {}
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "A3"])
+def test_data_of_weight_memo_matches_search(label):
+    # the cached tuple against the uncached search, every reduced word
+    datum = CartanDatum(label)
+    search = qminor.pbw._data_of_weight.__wrapped__
+    for w in all_reduced_words_for_w0(datum):
+        for mu in weights_up_to(datum, 4):
+            assert data_of_weight(w, mu) == list(search(w, mu)), (w, mu)
+
+
+def test_data_of_weight_returns_a_fresh_list():
+    got = data_of_weight(W_A2, (1, 1))
+    expected = list(got)
+    got.reverse()
+    got.append((9, 9, 9))
+    assert data_of_weight(W_A2, (1, 1)) == expected
+    assert data_of_weight(W_A2, [1, 1]) is not data_of_weight(W_A2, (1, 1))
+
+
 def test_biorthogonality_sample():
     # (E(m), F(n)) = 0 off the diagonal, nonzero on it (weight a1+a2+a3, A3).
     w = longest_word(A3)
@@ -439,12 +458,18 @@ def _two_sweep_commutator(w, k, kp, lead):
     return forward, coeffs
 
 
-@pytest.mark.parametrize("label", ["A2", "B2", "A3"])
+@pytest.mark.parametrize("label", ["A2", "B2", "A3", "A4"])
 def test_straighten_commutator_matches_two_sweeps(label):
     # E_{b_k}E_{b_kp} is the monomial E(e_k + e_kp), so its coordinates
-    # are that datum alone; the one-sweep table equals the two-sweep one
-    # and is supported strictly between k and kp.
-    for w in _standard_and_adapted_words(CartanDatum(label)):
+    # are that datum alone; the one-sweep table, paired only inside the
+    # interval, equals the two-sweep one paired against every datum of
+    # the weight, and is supported strictly between k and kp.  A4 runs on
+    # its standard words only: its adapted words add 8 s and the D4 words
+    # 240 s of full pairings.
+    datum = CartanDatum(label)
+    words = (standard_words(datum) if label == "A4"
+             else _standard_and_adapted_words(datum))
+    for w in words:
         N = len(w)
         for k in range(1, N + 1):
             for kp in range(k + 1, N + 1):
@@ -459,10 +484,11 @@ def test_straighten_commutator_matches_two_sweeps(label):
 
 
 def test_wrong_leading_coefficient_raises(monkeypatch):
-    coords = qminor.pbw.pbw_coordinates
-    monkeypatch.setattr(
-        qminor.pbw, "pbw_coordinates",
-        lambda x, w: {m: c * 2 for m, c in coords(x, w).items()})
+    # straighten_commutator pairs datum by datum, inside its interval, so
+    # the doubled coordinate is the single one, not the whole expansion.
+    coord = qminor.pbw._pbw_coordinate
+    monkeypatch.setattr(qminor.pbw, "_pbw_coordinate",
+                        lambda x, w, m: coord(x, w, m) * 2)
     straighten_commutator.cache_clear()
     try:
         with pytest.raises(StraighteningError):
