@@ -332,6 +332,12 @@ SUITES = {
 }
 
 
+# the suites that read --word and --orientation; the CLI rejects either
+# flag on any other suite rather than drop it
+WORD_SUITES = ("prop21", "cor22", "prop31", "prop32")
+ORIENTATION_SUITES = ("prop41", "prop42", "thm51")
+
+
 def _words(args):
     if getattr(args, "word", None):
         return [reduced_word_for_w0(CartanDatum(args.type), args.word)]

@@ -234,6 +234,15 @@ def _height_arg(text):
     return h
 
 
+def _enumerable_height(h):
+    """h, once rootdata.weights_up_to can walk range(h + 1): that range
+    must fit a machine index."""
+    if h >= sys.maxsize:
+        raise ValueError("height %d is too large: it must be < %d"
+                         % (h, sys.maxsize))
+    return h
+
+
 def _resolve(args):
     datum = CartanDatum(args.type)
     if getattr(args, "word", None):
@@ -336,6 +345,12 @@ def _cmd_quiver(args):
 
 
 def _cmd_check(args):
+    for flag, value, readers in (
+            ("--word", args.word, checks.WORD_SUITES),
+            ("--orientation", args.orientation, checks.ORIENTATION_SUITES)):
+        if value is not None and args.suite not in readers:
+            raise ValueError("check %s does not take %s" % (args.suite, flag))
+    _enumerable_height(args.height)
     suite = checks.SUITES[args.suite]
     report = suite(args)
     _emit(report, args)
@@ -345,7 +360,7 @@ def _cmd_check(args):
 def _cmd_mult_scan(args):
     datum = CartanDatum(args.type)
     o = quiver.parse_orientation(datum, args.orientation)
-    report = mult.verify_theorem_51(o, args.height)
+    report = mult.verify_theorem_51(o, _enumerable_height(args.height))
     _emit(report, args)
     return 0 if not report["violations"] else 1
 

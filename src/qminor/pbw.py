@@ -5,15 +5,14 @@ A Lusztig datum is a vector m in Z_{>=0}^N tied to a reduced word of
 w_0; the PBW monomial is E(m) = E_{beta_1}^{(m_1)} ... E_{beta_N}^{(m_N)}
 with root vectors E_{beta_k} = T_{i_1} ... T_{i_{k-1}}(E_{i_k}).
 Coordinates of arbitrary elements are computed through the Hopf pairing
-against the mirrored F-side monomials (biorthogonality), never by
-word rewriting.  The F-side root vectors are the E-side ones pushed
-through the Chevalley involution omega (E_i <-> F_i, K_mu -> K_-mu):
-F_{beta_k} = (-1)^(ht beta_k - 1) u_k omega(E_{beta_k}), with u_k the
-root unit, since T_i omega = Psi_i omega T_i for a grading scalar Psi_i
-(see f_root_vector), so the braid automorphisms run on the E side
-only.  The dual PBW normalizers f_m come from Lusztig's
-product formula for (E(m), F(m)); only their units u_m are read off the
-pairing, one single-root pairing per (word, k).
+against the mirrored F-side monomials F(m) (biorthogonality), never by
+word rewriting.  F(m) is E(m) pushed through the Chevalley involution
+omega (E_i <-> F_i, K_mu -> K_-mu) and scaled by a unit +-q^a, since
+T_i omega = Psi_i omega T_i for a grading scalar Psi_i (see
+f_pbw_monomial), so the braid automorphisms and the product of root
+vectors run on the E side only.  The dual PBW normalizers f_m come from
+Lusztig's product formula for (E(m), F(m)); only their units u_m are
+read off the pairing, one single-root pairing per (word, k).
 """
 
 from functools import cache
@@ -162,17 +161,17 @@ def _root_table(w):
                         for a in betas)
 
 
-def _root_unit(w, k):
-    """The normalizing unit q^(sum c_i d_i - <beta_k,beta_k>/2) of the
-    root vector E_{beta_k}, where beta_k = sum c_i alpha_i.
+def _root_unit_exponent(w, k):
+    """The exponent a_k = sum c_i d_i - <beta_k,beta_k>/2 of the
+    normalizing unit q^(a_k) of E_{beta_k}, beta_k = sum c_i alpha_i.
 
-    It is trivial on simple roots and makes the dual PBW basis compatible
-    with the twisted bar involution (unit diagonal) while keeping every
-    dual normalizer f_m in 1 + qZ[q].
+    The unit is trivial on simple roots and makes the dual PBW basis
+    compatible with the twisted bar involution (unit diagonal) while
+    keeping every dual normalizer f_m in 1 + qZ[q].
     """
     betas, gram = _root_table(w)
-    t = sum(c * d for c, d in zip(betas[k - 1], w.datum.d))
-    return RatScalar.q_power(t - gram[k - 1][k - 1] // 2)
+    return (sum(c * d for c, d in zip(betas[k - 1], w.datum.d))
+            - gram[k - 1][k - 1] // 2)
 
 
 def root_vector(w, k):
@@ -190,33 +189,7 @@ def root_vector(w, k):
     signals a convention bug, not a user error.
     """
     x = _root_tri(w.datum, _root_word(w.datum, w.word[:k])).project_uplus()
-    return x.scale(_root_unit(w, k))
-
-
-def f_root_vector(w, k):
-    """The mirrored F-side root vector F_{beta_k} = u_k T_{i_1} ...
-    T_{i_{k-1}}(F_{i_k}), read off the E side:
-    F_{beta_k} = (-1)^(ht beta_k - 1) u_k omega(E_{beta_k}).
-
-    omega is the Chevalley involution E_i <-> F_i, K_mu -> K_-mu, so
-    omega(E_{beta_k}) is root_vector(w, k) with its words put on the F
-    side.  Proof sketch: with the conventions of _braid_gen,
-    T_i(omega g) = Psi_i(omega T_i g), where Psi_i scales an element of
-    weight lambda by (-1)^<alpha_i^v, lambda> q^-(alpha_i, lambda) (check
-    it on E_j, F_j and K_mu).  Write gamma_j = s_{i_j} ... s_{i_{k-1}}
-    alpha_{i_k}, so gamma_1 = beta_k and gamma_k = alpha_{i_k}.  Moving
-    omega out through T_{i_j} costs (-1)^<alpha_{i_j}^v, gamma_{j+1}>
-    q^-(alpha_{i_j}, gamma_{j+1}), and gamma_j = gamma_{j+1} -
-    <alpha_{i_j}^v, gamma_{j+1}> alpha_{i_j}, so the signs telescope to
-    (-1)^(ht beta_k - 1) and the q-powers to q^(sum c_i d_i - d_{i_k})
-    for beta_k = sum c_i alpha_i, with d_{i_k} = (beta_k, beta_k)/2: the
-    exponent of u_k.  omega maps U^+ onto U^-, so the NotInUqn check of
-    root_vector covers this side too.  The braid route stays in the
-    tests as an oracle.
-    """
-    sign = -1 if sum(_root_table(w)[0][k - 1]) % 2 == 0 else 1
-    x = root_vector(w, k)
-    return WordExpr(w.datum, x.terms, "F").scale(_root_unit(w, k) * sign)
+    return x.scale(RatScalar.q_power(_root_unit_exponent(w, k)))
 
 
 # -- PBW monomials and coordinates ------------------------------------------
@@ -258,36 +231,58 @@ def render_datum(m):
 
 def pbw_monomial(w, m):
     """E(m) = E_{beta_1}^{(m_1)} ... E_{beta_N}^{(m_N)} as a UPlusExpr."""
-    return _monomial(w, check_datum(w, m), "E")
+    return _monomial(w, check_datum(w, m))
 
 
 def f_pbw_monomial(w, m):
     """F(m) = F_{beta_1}^{(m_1)} ... F_{beta_N}^{(m_N)}, the mirrored PBW
-    monomial, with its factors in word order like E(m)."""
-    return _monomial(w, check_datum(w, m), "F")
+    monomial with its factors in word order like E(m), read off E(m):
+    F(m) = prod_k ((-1)^(ht beta_k - 1) r_k)^(m_k) omega(E(m)), with
+    r_k = q^(a_k) the root unit (_root_unit_exponent) and omega the
+    Chevalley involution E_i <-> F_i, K_mu -> K_-mu, so omega(E(m)) is
+    E(m) with its words put on the F side.  Root vectors:
+    F_{beta_k} = r_k T_{i_1} ... T_{i_{k-1}}(F_{i_k}) is
+    (-1)^(ht beta_k - 1) r_k omega(E_{beta_k}).  With the conventions of
+    _braid_gen, T_i(omega g) = Psi_i(omega T_i g), where Psi_i scales an
+    element of weight lambda by (-1)^<alpha_i^v, lambda>
+    q^-(alpha_i, lambda) (check it on E_j, F_j and K_mu).  Write
+    gamma_j = s_{i_j} ... s_{i_{k-1}} alpha_{i_k}, so gamma_1 = beta_k
+    and gamma_k = alpha_{i_k}.  Moving omega out through T_{i_j} costs
+    (-1)^<alpha_{i_j}^v, gamma_{j+1}> q^-(alpha_{i_j}, gamma_{j+1}), and
+    gamma_j = gamma_{j+1} - <alpha_{i_j}^v, gamma_{j+1}> alpha_{i_j}, so
+    the signs telescope to (-1)^(ht beta_k - 1) and the q-powers to
+    q^(sum c_i d_i - d_{i_k}) for beta_k = sum c_i alpha_i, with
+    d_{i_k} = (beta_k, beta_k)/2: that is r_k.  Monomials: omega is an
+    algebra automorphism (Jantzen, Lectures on Quantum Groups, 4.6), so
+    it carries E(m) to the product of the omega(E_{beta_k})^{(m_k)}.
+    omega maps U^+ onto U^-, so the NotInUqn check of root_vector covers
+    this side too.  The braid route stays in the tests as an oracle.
+    """
+    m = check_datum(w, m)
+    a = sum(c * _root_unit_exponent(w, k) for k, c in enumerate(m, start=1))
+    odd = sum(c * (sum(b) - 1) for c, b in zip(m, _root_table(w)[0])) % 2
+    return WordExpr(w.datum, {word: -c.shift(a) if odd else c.shift(a)
+                              for word, c in _monomial(w, m).terms.items()},
+                    "F")
 
 
 @cache
-def _monomial(w, m, side):
-    out = WordExpr.one(w.datum, side=side)
+def _monomial(w, m):
+    """E(m) for a checked datum tuple m, one divided power at a time."""
+    out = WordExpr.one(w.datum)
     for k, c in enumerate(m, start=1):
         if c:
-            out = out * _divided_root_power(w, k, c, side)
+            power = root_vector(w, k) ** c
+            if c > 1:
+                power = power.scale(
+                    RatScalar(ONE, quantum_factorial(c, _root_norm(w, k))))
+            out = out * power
     return out
 
 
 def _root_norm(w, k):
     """(beta_k, beta_k) as an int."""
     return _root_table(w)[1][k - 1][k - 1]
-
-
-def _divided_root_power(w, k, c, side):
-    rv = root_vector(w, k) if side == "E" else f_root_vector(w, k)
-    out = rv ** c
-    if c > 1:
-        out = out.scale(
-            RatScalar(ONE, quantum_factorial(c, _root_norm(w, k))))
-    return out
 
 
 def data_of_weight(w, mu):

@@ -4,6 +4,7 @@ codes, and byte-for-byte agreement with the golden files."""
 import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -206,7 +207,26 @@ def test_vacuous_height_is_a_usage_error(argv, capsys):
      "error: remark43 is a D4 check, not A1\n"),
     (["check", "serre", "--type", "A1"],
      "error: A1 has no Serre relation\n"),
-])
+    (["check", "pairing", "--type", "A2", "--word", "1,1"],
+     "error: check pairing does not take --word\n"),
+    (["check", "prop31", "--type", "A2", "--height", "99999999999999999999"],
+     "error: height 99999999999999999999 is too large: it must be < %d\n"
+     % sys.maxsize),
+    (["mult-scan", "--type", "A2", "--orientation", "2>1",
+      "--height", str(sys.maxsize)],
+     "error: height %d is too large: it must be < %d\n"
+     % (sys.maxsize, sys.maxsize)),
+] + [
+    # every suite that would drop --word or --orientation rejects it
+    (["check", suite, "--type", "A2", flag, value],
+     "error: check %s does not take %s\n" % (suite, flag))
+    for flag, value, suites in (
+        ("--word", "1,2,1",
+         ("serre", "prop41", "prop42", "thm51", "remark43")),
+        ("--orientation", "2>1",
+         ("serre", "pairing", "prop21", "cor22", "prop31", "prop32",
+          "remark43")))
+    for suite in suites])
 def test_invalid_input_is_a_usage_error(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""

@@ -8,20 +8,21 @@ import pytest
 
 import qminor.pbw
 
-from qminor.scalars import RatScalar, LaurentPoly
+from qminor.scalars import RatScalar, LaurentPoly, ONE, quantum_factorial
 from qminor.rootdata import (CartanDatum, ReducedWord, longest_word, form,
                              weyl_act, all_reduced_words_for_w0)
 from qminor.qea import (WordExpr, TriExpr, serre_element, expr_equal,
                         canonical_form, pairing, tri_mul, _form_int,
                         _alpha_vec)
-from qminor.pbw import (braid_T, root_vector, f_root_vector, pbw_monomial,
+from qminor.pbw import (braid_T, root_vector, pbw_monomial,
                         f_pbw_monomial, pbw_coordinates, data_of_weight,
                         pairing_em_fn, dual_pbw_normalizer,
                         d_form, c_form, rlex_less, unit_datum,
                         straighten_commutator, ext_order, pbw_product,
                         datum_weight, weight_tuple, render_datum,
                         _normalizer_pair, _root_pairing_unit, _root_table,
-                        _root_norm, _root_unit, _root_tri, _root_word,
+                        _root_norm, _root_unit_exponent, _root_tri,
+                        _root_word,
                         NotAUnit, StraighteningError)
 from qminor.checks import standard_words, weights_up_to
 from qminor.quiver import adapted_word, all_orientations
@@ -101,7 +102,8 @@ def test_root_vector_weights():
         for k in range(1, len(w) + 1):
             assert root_vector(w, k).weight() == w.betas[k - 1]
             # F-side word expressions carry the unsigned letter weight.
-            assert f_root_vector(w, k).weight() == w.betas[k - 1]
+            e = unit_datum(len(w), k)
+            assert f_pbw_monomial(w, e).weight() == w.betas[k - 1]
 
 
 def test_root_vector_matsumoto_independence():
@@ -186,7 +188,31 @@ def _oracle_f_root_vector(w, k):
     for (f, kv, e), c in _oracle_f_tri(w.datum, w.word[:k]).terms.items():
         assert not e and kv == zk, (f, kv, e)
         terms[f] = c
-    return WordExpr(w.datum, terms, "F").scale(_root_unit(w, k))
+    return WordExpr(w.datum, terms, "F").scale(
+        RatScalar.q_power(_root_unit_exponent(w, k)))
+
+
+def _mirror_f_root_vector(w, k):
+    """F_{beta_k} = (-1)^(ht beta_k - 1) u_k omega(E_{beta_k}) by the
+    mirror lemma, as its own factor: its divided-power chain orders the
+    terms of F(m) as f_pbw_monomial does."""
+    sign = -1 if sum(_root_table(w)[0][k - 1]) % 2 == 0 else 1
+    return WordExpr(w.datum, root_vector(w, k).terms, "F").scale(
+        RatScalar.q_power(_root_unit_exponent(w, k), sign))
+
+
+def _divided_power_chain(w, m, f_root_vector):
+    """F(m) as the product of the divided powers of the given F_{beta_k},
+    factor by factor in word order."""
+    out = WordExpr.one(w.datum, side="F")
+    for k, c in enumerate(m, start=1):
+        if c:
+            factor = f_root_vector(w, k) ** c
+            if c > 1:
+                factor = factor.scale(
+                    RatScalar(ONE, quantum_factorial(c, _root_norm(w, k))))
+            out = out * factor
+    return out
 
 
 def _mirror_words(label):
@@ -196,14 +222,39 @@ def _mirror_words(label):
     return all_reduced_words_for_w0(datum)
 
 
+def _assert_f_pbw_monomials_match_oracles(w, data):
+    # F(m) read off E(m) equals the braid route term for term, and the
+    # product chain of the mirrored root vectors also in key order (the
+    # braid route orders its terms differently)
+    for m in data:
+        got = f_pbw_monomial(w, m)
+        assert got == _divided_power_chain(
+            w, m, _oracle_f_root_vector), (w.word, m)
+        chain = _divided_power_chain(w, m, _mirror_f_root_vector)
+        assert got == chain, (w.word, m)
+        assert list(got.terms) == list(chain.terms), (w.word, m)
+
+
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "A3", "A4", "D4"])
 def test_f_root_vector_matches_braid_oracle(label):
-    # every reduced word of A1, A2, B2 and A3 (111 root vectors); the
-    # standard and adapted words of A4 and D4
+    # the case m = e_k, F(e_k) = F_{beta_k}: every reduced word of A1,
+    # A2, B2 and A3 (111 root vectors); the standard and adapted words
+    # of A4 and D4
     for w in _mirror_words(label):
-        for k in range(1, len(w.word) + 1):
-            assert f_root_vector(w, k) == _oracle_f_root_vector(w, k), \
-                (w.word, k)
+        N = len(w.word)
+        _assert_f_pbw_monomials_match_oracles(
+            w, [unit_datum(N, k) for k in range(1, N + 1)])
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "A3", "A4", "D4"])
+def test_f_pbw_monomial_matches_braid_oracle(label):
+    # every datum up to height 3 (2 for A4 and D4), on the same words
+    datum = CartanDatum(label)
+    height = 2 if label in ("A4", "D4") else 3
+    for w in _mirror_words(label):
+        _assert_f_pbw_monomials_match_oracles(
+            w, [m for mu in weights_up_to(datum, height)
+                for m in data_of_weight(w, mu)])
 
 
 def _omega(x):
@@ -239,7 +290,7 @@ def _psi(i, x):
 
 @pytest.mark.parametrize("label", ["A2", "B2", "A3"])
 def test_braid_commutes_with_omega_up_to_psi(label):
-    # T_i(omega g) = Psi_i(omega T_i g), the lemma behind f_root_vector
+    # T_i(omega g) = Psi_i(omega T_i g), the lemma behind f_pbw_monomial
     datum = CartanDatum(label)
     for i in datum.indices:
         for j in datum.indices:
