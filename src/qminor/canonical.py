@@ -11,10 +11,10 @@ recursion over the right-lexicographic order.
 from functools import cache
 
 from .scalars import LaurentPoly, RatScalar, add_term
-from .rootdata import Vec, weyl_act
-from .qea import WordExpr, _form_int
+from .rootdata import form, minor_weight
+from .qea import WordExpr
 from .pbw import (pbw_monomial, dual_pbw_normalizer, data_of_weight,
-                  check_datum, datum_weight, weight_tuple, render_datum,
+                  check_datum, weight_tuple, render_datum,
                   rlex_less, root_vector, pbw_coordinates, pbw_product,
                   straighten_commutator, _letter_factorial, _letters_of_datum,
                   _datum_of_letters, _root_table)
@@ -223,19 +223,11 @@ def coords_congruent_mod_qL(ca, cb):
 
 # -- the twisted bar involution ----------------------------------------------
 
-def _weight_tuple(mu):
-    """A weight given as a Vec or a coordinate sequence, as a tuple."""
-    if isinstance(mu, Vec):
-        return mu.root_coords_int()
-    return tuple(mu)
-
-
 def eigen_scalar(datum, mu):
     """s_mu = (-1)^tr(mu) q^{-(<mu,mu>/2 + sum k_i d_i)} for
     mu = sum k_i alpha_i."""
-    mu = _weight_tuple(mu)
     tr = sum(mu)
-    half_norm = _form_int(datum, mu, mu) // 2
+    half_norm = form(datum, mu, mu) // 2
     dsum = sum(k * d for k, d in zip(mu, datum.d))
     return RatScalar.q_power(-(half_norm + dsum), -1 if tr % 2 else 1)
 
@@ -283,7 +275,7 @@ def dual_canonical_basis(mu, w):
     """All B(n)* of the weight space, as dual-PBW coordinate dicts
     keyed by n.  Each satisfies B(n)* = E(n)* + sum_{m rlex< n} c_m E(m)*
     with c_m in qZ[q] and twisted-bar fixedness."""
-    return _dual_canonical_basis(_weight_tuple(mu), w)
+    return _dual_canonical_basis(tuple(mu), w)
 
 
 @cache
@@ -363,10 +355,8 @@ def flag_minor(w, k):
     """
     n = flag_minor_datum(w, k)
     elt = dual_canonical_element(w, n)
-    datum = w.datum
-    vp = datum.varpi(w.word[k - 1])
-    expected = vp - weyl_act(datum, w.word[:k], vp)
-    got = datum_weight(w, n)
+    expected = minor_weight(w.datum, w.word[:k])
+    got = weight_tuple(w, n)
     if expected != got:
         raise FlagMinorWeightMismatch("flag minor weight mismatch: %r vs %r"
                                       % (expected, got))

@@ -5,11 +5,9 @@ test suite both dispatch here.
 """
 
 from .scalars import RatScalar
-from .rootdata import (CartanDatum, ReducedWord, Vec, form, weyl_act,
-                       longest_word, weights_up_to, reduced_completion,
-                       reduced_word_for_w0)
-from .qea import (WordExpr, TriExpr, pairing, canonical_form, serre_element,
-                  _alpha_vec, _form_int)
+from .rootdata import (CartanDatum, ReducedWord, form, longest_word,
+                       weights_up_to, reduced_completion, reduced_word_for_w0)
+from .qea import WordExpr, TriExpr, pairing, canonical_form, serre_element
 from . import pbw, canonical, quiver, mult
 
 
@@ -60,10 +58,10 @@ def check_pairing(label):
                 failures.append(["EF", i, j, got.render()])
     for i in datum.indices:
         for j in datum.indices:
-            got = pairing(TriExpr.k_elt(datum, _alpha_vec(datum, i)),
-                          TriExpr.k_elt(datum, _alpha_vec(datum, j)))
-            want = RatScalar.q_power(-int(form(datum.alpha(i),
-                                               datum.alpha(j))))
+            got = pairing(TriExpr.k_elt(datum, datum.alpha(i)),
+                          TriExpr.k_elt(datum, datum.alpha(j)))
+            want = RatScalar.q_power(-form(datum, datum.alpha(i),
+                                           datum.alpha(j)))
             if got != want:
                 failures.append(["KK", i, j, got.render()])
     return _report(label, failures)
@@ -121,13 +119,13 @@ def check_prop21(label, words=None):
     return _report(label, failures)
 
 
-def check_cor22(label, height_bound, words=None, ext_support_adapted=True):
+def check_cor22(label, height_bound, words=None):
     """Unitriangularity over rlex with off-diagonal coefficients in qZ[q];
     for adapted words, support additionally below in the Ext order."""
     datum = CartanDatum(label)
     failures = []
     adapted = set()
-    if ext_support_adapted and datum.is_simply_laced():
+    if datum.is_simply_laced():
         adapted = {quiver.adapted_word(o).word
                    for o in quiver.all_orientations(datum)}
     for w in (words or standard_words(datum)):
@@ -150,16 +148,19 @@ def check_cor22(label, height_bound, words=None, ext_support_adapted=True):
 
 def check_prop31(label, height_bound, words=None):
     """Delta*_w E(m)* = q^{<(Id+w)varpi_{i_k}, mu>} E(m)* Delta*_w exactly,
-    for every prefix and every datum supported on it."""
+    for every prefix and every datum supported on it.
+
+    With nu = (Id - w)varpi_i the flag minor's weight, (Id + w)varpi_i =
+    2 varpi_i - nu, and (varpi_i, alpha_j) = d_i delta_ij, so the exponent
+    is 2 d_i mu_i - <nu, mu>."""
     datum = CartanDatum(label)
     failures = []
     for w in (words or standard_words(datum)):
         for k in range(1, len(w.word) + 1):
             nk = canonical.flag_minor_datum(w, k)
-            dc = canonical.dual_canonical_basis(
-                pbw.weight_tuple(w, nk), w)[nk]
-            vp = datum.varpi(w.word[k - 1])
-            wv = weyl_act(datum, w.word[:k], vp)
+            nu = pbw.weight_tuple(w, nk)
+            dc = canonical.dual_canonical_basis(nu, w)[nk]
+            i = w.word[k - 1]
             for mu in weights_up_to(datum, height_bound):
                 for m in pbw.data_of_weight(w, mu):
                     if not canonical.demazure_flag(m, k):
@@ -167,7 +168,7 @@ def check_prop31(label, height_bound, words=None):
                     em = {m: RatScalar.one()}
                     lhs = canonical.dual_product(w, dc, em)
                     rhs = canonical.dual_product(w, em, dc)
-                    ex = int(form(vp + wv, Vec(datum, mu)))
+                    ex = 2 * datum.d[i - 1] * mu[i - 1] - form(datum, nu, mu)
                     unit = RatScalar.q_power(ex)
                     if lhs != {d: c * unit for d, c in rhs.items()}:
                         failures.append([list(w.word), k, list(m)])
@@ -185,7 +186,7 @@ def check_prop32(label, height_bound, words=None):
             nu = pbw.weight_tuple(w, nk)
             dc = canonical.dual_canonical_basis(nu, w)[nk]
             for mu in weights_up_to(datum, height_bound):
-                nu_mu = _form_int(datum, nu, mu)
+                nu_mu = form(datum, nu, mu)
                 for m in pbw.data_of_weight(w, mu):
                     dnm = pbw.d_form(w, nk, m)
                     dmn = pbw.d_form(w, m, nk)
@@ -263,7 +264,7 @@ def check_claim43(label="A3"):
         checked += 1
         _, elt = canonical.flag_minor(w, len(prefix))
         target = canonical_form(elt)
-        wt = elt.weight().root_coords_int()
+        wt = elt.weight()
         if not any(cf == target for _, wa in adapted
                    for _, cf in _same_weight_flag_minors(wa, wt)):
             failures.append([rows, list(prefix)])
@@ -288,7 +289,7 @@ def check_remark43(label="D4"):
     w = reduced_completion(ReducedWord(datum, (2, 1, 3, 2)))
     n, elt = canonical.flag_minor(w, 4)
     target = canonical_form(elt)
-    wt = elt.weight().root_coords_int()
+    wt = elt.weight()
     matches = []
     candidates = 0
     for o in quiver.all_orientations(datum):
@@ -332,10 +333,11 @@ SUITES = {
 }
 
 
-# the suites that read --word and --orientation; the CLI rejects either
-# flag on any other suite rather than drop it
+# the suites that read --word, --orientation and --height; the CLI
+# rejects each flag on any other suite rather than drop it
 WORD_SUITES = ("prop21", "cor22", "prop31", "prop32")
 ORIENTATION_SUITES = ("prop41", "prop42", "thm51")
+HEIGHT_SUITES = ("cor22", "prop31", "prop32", "prop42", "thm51")
 
 
 def _words(args):

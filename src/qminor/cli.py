@@ -260,7 +260,7 @@ def _cmd_rootdata(args):
         "cartan": [list(r) for r in datum.cartan],
         "symmetrizers": list(datum.d),
         "word": list(w.word),
-        "betas": [list(b.root_coords_int()) for b in w.betas],
+        "betas": [list(b) for b in w.betas],
     }, args)
     return 0
 
@@ -331,7 +331,7 @@ def _cmd_quiver(args):
         t = quiver.tau(w, k)
         table.append({
             "index": k,
-            "dimension_vector": list(w.betas[k - 1].root_coords_int()),
+            "dimension_vector": list(w.betas[k - 1]),
             "tau": "projective" if t is None else t,
         })
     _emit({
@@ -347,9 +347,12 @@ def _cmd_quiver(args):
 def _cmd_check(args):
     for flag, value, readers in (
             ("--word", args.word, checks.WORD_SUITES),
-            ("--orientation", args.orientation, checks.ORIENTATION_SUITES)):
+            ("--orientation", args.orientation, checks.ORIENTATION_SUITES),
+            ("--height", args.height, checks.HEIGHT_SUITES)):
         if value is not None and args.suite not in readers:
             raise ValueError("check %s does not take %s" % (args.suite, flag))
+    if args.height is None:
+        args.height = 3
     _enumerable_height(args.height)
     suite = checks.SUITES[args.suite]
     report = suite(args)
@@ -413,7 +416,9 @@ def build_parser():
     sp.add_argument("suite", choices=sorted(checks.SUITES))
     common(sp)
     sp.add_argument("--orientation", default=None)
-    sp.add_argument("--height", type=_height_arg, default=3)
+    sp.add_argument("--height", type=_height_arg, default=None,
+                    help="height bound of the suites that read one "
+                         "(default 3)")
     sp.set_defaults(func=_cmd_check)
 
     sp = sub.add_parser("mult-scan", help="multiplicativity scan")

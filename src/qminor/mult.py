@@ -81,15 +81,16 @@ def adapted_monomials(w, height_bound):
     gens = [flag_minor_datum(w, k) for k in range(1, N + 1)]
     heights = [sum(weight_tuple(w, g)) for g in gens]
     found = set()
-
-    def build(idx, acc, left):
-        found.add(tuple(acc))
+    # (first generator still allowed, datum so far, height left); adding
+    # generators in nondecreasing order reaches each sum once
+    stack = [(0, (0,) * N, height_bound)]
+    while stack:
+        idx, acc, left = stack.pop()
+        found.add(acc)
         for t in range(idx, N):
             if heights[t] <= left:
-                nxt = tuple(a + b for a, b in zip(acc, gens[t]))
-                build(t, nxt, left - heights[t])
-
-    build(0, (0,) * N, height_bound)
+                stack.append((t, tuple(a + b for a, b in zip(acc, gens[t])),
+                              left - heights[t]))
     return sorted(found, key=lambda m: (sum(m), m))
 
 

@@ -19,8 +19,8 @@ from functools import cache
 
 from .scalars import (LaurentPoly, RatScalar, ONE, add_term,
                       quantum_factorial)
-from .rootdata import reflect
-from .qea import WordExpr, TriExpr, tri_mul, pairing, _alpha_vec, _form_int
+from .rootdata import form, reflect
+from .qea import WordExpr, TriExpr, tri_mul, pairing
 
 
 # -- braid automorphisms -------------------------------------------------
@@ -35,21 +35,17 @@ def _braid_gen(datum, i, kind, j, mult):
     T_i(F_j) = sum_s (-1)^(r-s) q_i^(r-s) F_i^(r-s) F_j F_i^(s).
     """
     if kind == "K":
-        lam = datum.zero()
-        for idx, c in enumerate(j, start=1):
-            if c:
-                lam = lam + datum.alpha(idx) * c
-        return TriExpr.k_elt(datum, reflect(i, lam).root_coords_int())
+        return TriExpr.k_elt(datum, reflect(datum, i, j))
     if i == j:
         if kind == "E":
             # T_i(E_i) = -F_i K_{alpha_i}
             base = TriExpr(datum, {
-                (((i, 1),), _alpha_vec(datum, i), ()):
+                (((i, 1),), datum.alpha(i), ()):
                 RatScalar.from_laurent(LaurentPoly.from_int(-1))})
         else:
             # T_i(F_i) = -K_{-alpha_i} E_i
             base = TriExpr(datum, {
-                ((), _alpha_vec(datum, i, -1), ((i, 1),)):
+                ((), datum.alpha(i, -1), ((i, 1),)):
                 RatScalar.from_laurent(LaurentPoly.from_int(-1))})
         return _tri_divided_power(datum, base, mult, datum.root_norm(i))
     a = datum.cartan[i - 1][j - 1]
@@ -141,12 +137,10 @@ def _root_word(datum, word):
     letters of a reduced word is reduced, so
     T_{i_r} ... T_{i_{k-1}}(E_{i_k}) = E_j.
     """
-    gamma = [0] * datum.rank
-    gamma[word[-1] - 1] = 1
+    gamma = datum.alpha(word[-1])
     cut, j = len(word) - 1, word[-1]
     for r in range(len(word) - 2, -1, -1):
-        i = word[r]
-        gamma[i - 1] -= sum(a * c for a, c in zip(datum.cartan[i - 1], gamma))
+        gamma = reflect(datum, word[r], gamma)
         if sum(gamma) == 1:     # a positive root of height 1
             cut, j = r, 1 + gamma.index(1)
     return word[:cut] + (j,)
@@ -156,8 +150,8 @@ def _root_word(datum, word):
 def _root_table(w):
     """(betas, gram): the roots beta_k as int root-coordinate tuples and
     their Gram matrix gram[k-1][l-1] = (beta_k, beta_l) over the ints."""
-    betas = tuple(b.root_coords_int() for b in w.betas)
-    return betas, tuple(tuple(_form_int(w.datum, a, b) for b in betas)
+    betas = w.betas
+    return betas, tuple(tuple(form(w.datum, a, b) for b in betas)
                         for a in betas)
 
 
@@ -202,16 +196,6 @@ def check_datum(w, m):
     if any(c < 0 for c in m):
         raise ValueError("negative entry in Lusztig datum %s" % (m,))
     return m
-
-
-def datum_weight(w, m):
-    """sum m_k beta_k as a Vec."""
-    m = check_datum(w, m)
-    v = w.datum.zero()
-    for c, b in zip(m, w.betas):
-        if c:
-            v = v + b * c
-    return v
 
 
 def weight_tuple(w, m):
@@ -288,9 +272,7 @@ def _root_norm(w, k):
 def data_of_weight(w, mu):
     """All Lusztig data m with sum m_k beta_k = mu, sorted ascending
     for rlex (right-lexicographic), as a fresh list."""
-    if hasattr(mu, "root_coords_int"):
-        mu = mu.root_coords_int()
-    return list(_data_of_weight(w, tuple(int(c) for c in mu)))
+    return list(_data_of_weight(w, tuple(mu)))
 
 
 @cache

@@ -15,7 +15,7 @@ from functools import cache
 
 from .scalars import (LaurentPoly, RatScalar, ZERO, ONE, add_term,
                       join_signed, quantum_factorial, quantum_binomial)
-from .rootdata import Vec
+from .rootdata import form
 
 
 class NotInUqn(ArithmeticError):
@@ -53,11 +53,11 @@ def canonicalize_word(datum, pairs):
 
 
 def word_weight(datum, word):
-    """The weight of a divided-power word as a Vec."""
+    """The weight of a divided-power word as an int tuple."""
     coords = [0] * datum.rank
     for i, k in word:
         coords[i - 1] += k
-    return Vec(datum, coords)
+    return tuple(coords)
 
 
 def word_to_plain(word):
@@ -83,10 +83,8 @@ def plain_to_pairs(plain):
 
 
 def plain_words_of_weight(datum, mu):
-    """All plain words of weight mu (a Vec or root-coordinate tuple),
-    sorted lexicographically."""
-    if isinstance(mu, Vec):
-        mu = mu.root_coords_int()
+    """All plain words of weight mu (a root-coordinate sequence), sorted
+    lexicographically."""
     letters = []
     for i, c in enumerate(mu, start=1):
         if c < 0:
@@ -245,7 +243,7 @@ class WordExpr:
         """Map root-coordinate tuple -> homogeneous WordExpr."""
         comps = {}
         for w, c in self.terms.items():
-            mu = word_weight(self.datum, w).root_coords_int()
+            mu = word_weight(self.datum, w)
             comps.setdefault(mu, {})[w] = c
         return {mu: WordExpr(self.datum, t, self.side)
                 for mu, t in comps.items()}
@@ -254,15 +252,15 @@ class WordExpr:
         return len(self.homogeneous_components()) <= 1
 
     def weight(self):
-        """The weight of a homogeneous expression (Vec); zero expr has
-        weight 0."""
+        """The weight of a homogeneous expression as an int tuple; the
+        zero expression has weight 0."""
         comps = self.homogeneous_components()
         if len(comps) > 1:
             raise ValueError("expression is not homogeneous")
         if not comps:
-            return self.datum.zero()
+            return (0,) * self.datum.rank
         (mu,) = comps
-        return Vec(self.datum, mu)
+        return mu
 
     def plain_expansion(self):
         """Map plain word -> RatScalar, expanding divided powers."""
@@ -332,10 +330,6 @@ def serre_element(datum, i, j):
 
 # -- triangular expressions in U_q(g) -----------------------------------
 
-def _alpha_vec(datum, i, sign=1):
-    return tuple(sign if j == i - 1 else 0 for j in range(datum.rank))
-
-
 def _wt_vec(datum, plain):
     wt = [0] * datum.rank
     for i in plain:
@@ -345,19 +339,6 @@ def _wt_vec(datum, plain):
 
 def _vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _form_int(datum, a, b):
-    """<sum a_i alpha_i, sum b_j alpha_j> on integer coordinate tuples."""
-    F = datum.form_matrix
-    total = 0
-    for i, x in enumerate(a):
-        if x:
-            row = F[i]
-            for j, y in enumerate(b):
-                if y:
-                    total += x * y * row[j]
-    return total
 
 
 class TriExpr:
@@ -497,11 +478,11 @@ def _push_f(datum, eplain, b):
     if a == b:
         d = datum.d[a - 1]
         denom = LaurentPoly({d: 1, -d: -1})  # q_a - q_a^{-1}
-        pair = _form_int(datum, _alpha_vec(datum, a), _wt_vec(datum, head))
+        pair = form(datum, datum.alpha(a), _wt_vec(datum, head))
         # head * K_{+-alpha_a} = q^{-+<alpha_a, wt(head)>} K_{+-alpha_a} * head
-        terms.append(((), _alpha_vec(datum, a, 1), head,
+        terms.append(((), datum.alpha(a), head,
                       RatScalar(LaurentPoly.q_power(-pair), denom)))
-        terms.append(((), _alpha_vec(datum, a, -1), head,
+        terms.append(((), datum.alpha(a, -1), head,
                       RatScalar(LaurentPoly.q_power(pair, -1), denom)))
     return tuple(terms)
 
@@ -520,7 +501,7 @@ def _normal_order(datum, eplain, fplain):
             for f2, k2, h2, c2 in _push_f(datum, h, b):
                 # move K_k right past the new F letters
                 c3 = c * c2 * RatScalar.q_power(
-                    -_form_int(datum, k, _wt_vec(datum, f2)))
+                    -form(datum, k, _wt_vec(datum, f2)))
                 add_term(nxt, (f + f2, _vec_add(k, k2), h2), c3)
         acc = nxt
     return tuple((f, k, h, c) for (f, k, h), c in acc.items())
@@ -547,8 +528,8 @@ def tri_mul(x, y):
             base = c1 * c2 * plain_factor(datum, f2)
             for fp, kp, ep, c in _normal_order(datum, pe1, pf2):
                 # K_{k1} right past fp, then ep right past K_{k2}
-                shift = (-_form_int(datum, k1, _wt_vec(datum, fp))
-                         - _form_int(datum, k2, _wt_vec(datum, ep)))
+                shift = (-form(datum, k1, _wt_vec(datum, fp))
+                         - form(datum, k2, _wt_vec(datum, ep)))
                 fw, ff = canonicalize_word(datum, f1 + plain_to_pairs(fp))
                 ew, ef = canonicalize_word(datum, plain_to_pairs(ep) + e2)
                 coeff = (base * c).shift(shift)
@@ -645,7 +626,7 @@ def pairing(x, y):
             core = _pairing_core(datum, pe, pf)
             if not core.is_zero():
                 acc = acc + c2 * RatScalar.from_laurent(
-                    core.shift(-_form_int(datum, lam, mu)))
+                    core.shift(-form(datum, lam, mu)))
         if not acc.is_zero():
             acc = acc * c1 * plain_factor(datum, e1)
             add_term(sums, counts, acc)
@@ -697,7 +678,7 @@ def canonical_form(x):
     datum = x.datum
     if x.is_zero():
         return CanonicalForm(datum, (0,) * datum.rank, {})
-    mu = x.weight().root_coords_int()
+    mu = x.weight()
     plain = x.plain_expansion()
     content = _content_pairing(datum, mu)
     entries = {}

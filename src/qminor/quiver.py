@@ -9,8 +9,8 @@ recursion eps(M, N) = <dim M, dim N> + eps(N, tau M).
 
 import random
 
-from .rootdata import (ReducedWord, num_positive_roots, weyl_act, form,
-                       weights_up_to, reduced_completion)
+from .rootdata import (ReducedWord, num_positive_roots, weyl_act,
+                       is_positive, weights_up_to, reduced_completion)
 from .pbw import (d_form, weight_tuple, data_of_weight, unit_datum,
                   ext_order)
 from .canonical import flag_minor_datum
@@ -117,7 +117,7 @@ def adapted_word(o):
         if len(word) == N:
             return word
         for i in sorted(orient.sinks()):
-            if weyl_act(datum, word, datum.alpha(i)).is_positive():
+            if is_positive(weyl_act(datum, word, datum.alpha(i))):
                 found = dfs(word + [i], reflect_at_sink(orient, i))
                 if found is not None:
                     return found

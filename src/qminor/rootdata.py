@@ -6,7 +6,6 @@ short roots are normalized to (alpha, alpha) = 2.  For D4, vertex 2 is
 the branch vertex adjacent to 1, 3 and 4.
 """
 
-from fractions import Fraction
 from functools import cache
 from itertools import product
 
@@ -62,7 +61,6 @@ class CartanDatum:
         self.form_matrix = tuple(
             tuple(self.d[i] * self.cartan[i][j] for j in range(self.rank))
             for i in range(self.rank))
-        self._fundamental = None
         cls._cache[label] = self
         return self
 
@@ -73,21 +71,11 @@ class CartanDatum:
     def is_simply_laced(self):
         return self.label != "B2"
 
-    def alpha(self, i):
-        """The simple root alpha_i as a Vec."""
+    def alpha(self, i, sign=1):
+        """The simple root sign * alpha_i as an int tuple of simple-root
+        coordinates."""
         self._check_index(i)
-        return Vec(self, tuple(Fraction(1 if j == i - 1 else 0)
-                               for j in range(self.rank)))
-
-    def varpi(self, i):
-        """The fundamental weight varpi_i as a Vec in root coordinates."""
-        self._check_index(i)
-        if self._fundamental is None:
-            self._fundamental = _invert_form(self.form_matrix, self.d)
-        return Vec(self, self._fundamental[i - 1])
-
-    def zero(self):
-        return Vec(self, (Fraction(0),) * self.rank)
+        return tuple(sign if j == i - 1 else 0 for j in range(self.rank))
 
     def root_norm(self, i):
         """(alpha_i, alpha_i) = 2 d_i."""
@@ -102,141 +90,71 @@ class CartanDatum:
         return "CartanDatum(%r)" % self.label
 
 
-def _invert_form(F, d):
-    """Root coordinates of the fundamental weights: solve F c_i = d_i e_i."""
-    n = len(F)
-    # Gauss-Jordan over Q
-    aug = [[Fraction(F[r][c]) for c in range(n)]
-           + [Fraction(d[c] if c == r else 0) for c in range(n)]
-           for r in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(aug[r][n + i] for r in range(n)) for i in range(n))
-
-
-class Vec:
-    """A vector of the weight space in simple-root coordinates (over Q)."""
-
-    __slots__ = ("datum", "coords")
-
-    def __init__(self, datum, coords):
-        self.datum = datum
-        self.coords = tuple(Fraction(c) for c in coords)
-
-    @classmethod
-    def from_root_coords(cls, datum, coords):
-        return cls(datum, coords)
-
-    @classmethod
-    def from_weight_coords(cls, datum, coords):
-        v = datum.zero()
-        for i, c in enumerate(coords, start=1):
-            if c:
-                v = v + datum.varpi(i) * c
-        return v
-
-    def weight_coords(self):
-        """Coordinates in the fundamental-weight basis: <x, alpha_i>/d_i."""
-        d = self.datum
-        return tuple(Fraction(form(self, d.alpha(i)), d.d[i - 1])
-                     for i in d.indices)
-
-    def root_coords_int(self):
-        """Integer root coordinates; raises if not integral."""
-        out = []
-        for c in self.coords:
-            if c.denominator != 1:
-                raise ValueError("non-integral root coordinate in %r" % (self,))
-            out.append(int(c))
-        return tuple(out)
-
-    def height(self):
-        return sum(self.coords)
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
-    def __add__(self, other):
-        _same_datum(self, other)
-        return Vec(self.datum, tuple(a + b for a, b in
-                                     zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        _same_datum(self, other)
-        return Vec(self.datum, tuple(a - b for a, b in
-                                     zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return Vec(self.datum, tuple(-a for a in self.coords))
-
-    def __mul__(self, c):
-        return Vec(self.datum, tuple(a * c for a in self.coords))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, Vec):
-            return NotImplemented
-        return self.datum is other.datum and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.datum.label, self.coords))
-
-    def is_positive(self):
-        """All root coordinates > 0 somewhere and >= 0 everywhere."""
-        return (not self.is_zero()
-                and all(c >= 0 for c in self.coords))
-
-    def __repr__(self):
-        return "Vec(%s, %s)" % (self.datum.label,
-                                tuple(str(c) for c in self.coords))
-
-
-def _same_datum(x, y):
-    if x.datum is not y.datum:
-        raise ValueError("vectors over different Cartan data: %s vs %s"
-                         % (x.datum.label, y.datum.label))
-
-
-def form(x, y):
-    """The W-invariant symmetric bilinear form <x, y> (a Fraction or int)."""
-    _same_datum(x, y)
-    F = x.datum.form_matrix
-    total = Fraction(0)
-    for i, a in enumerate(x.coords):
-        if a:
-            for j, b in enumerate(y.coords):
-                if b:
-                    total += a * b * F[i][j]
-    if total.denominator == 1:
-        return int(total)
+def form(datum, a, b):
+    """The W-invariant form <sum a_i alpha_i, sum b_j alpha_j> on int
+    coordinate tuples."""
+    F = datum.form_matrix
+    total = 0
+    for i, x in enumerate(a):
+        if x:
+            row = F[i]
+            for j, y in enumerate(b):
+                if y:
+                    total += x * y * row[j]
     return total
 
 
-def reflect(i, x):
-    """Simple reflection: s_i(x) = x - 2<x, alpha_i>/<alpha_i, alpha_i> alpha_i."""
-    d = x.datum
-    a = d.alpha(i)
-    c = Fraction(2 * form(x, a), d.root_norm(i))
-    return x - a * c
+def reflect(datum, i, x):
+    """The simple reflection s_i(x) = x - <alpha_i^v, x> alpha_i of the int
+    tuple x, where <alpha_i^v, x> = 2(x, alpha_i)/(alpha_i, alpha_i) =
+    sum_j a_ij x_j because d_i a_ij = d_j a_ji."""
+    p = sum(a * c for a, c in zip(datum.cartan[i - 1], x))
+    if not p:
+        return x
+    return x[:i - 1] + (x[i - 1] - p,) + x[i:]
+
+
+def is_positive(x):
+    """True iff x is nonzero with every coordinate >= 0."""
+    return any(x) and all(c >= 0 for c in x)
 
 
 def weyl_act(datum, word, x):
     """Apply s_{i_1} o ... o s_{i_k} (s_{i_1} acting last) to x."""
     for i in reversed(tuple(word)):
-        x = reflect(i, x)
+        x = reflect(datum, i, x)
     return x
 
 
+def minor_weight(datum, word):
+    """(Id - s_{i_1} ... s_{i_k}) varpi_{i_k} for the nonempty word
+    (i_1, ..., i_k), in simple-root coordinates.
+
+    Proof.  Apply s_{i_k}, ..., s_{i_1} in turn to lambda = varpi_{i_k},
+    keeping only the pairings p_l = <alpha_l^v, lambda>.  They start at
+    the unit vector e_{i_k}, since <alpha_l^v, varpi_i> = delta_li.  A
+    step s_j sends lambda to lambda - p_j alpha_j, so the walk's first
+    lambda minus its last, (Id - w) varpi_{i_k}, is the sum of the
+    p_j alpha_j taken along the way; and p_l becomes
+    p_l - p_j <alpha_l^v, alpha_j> = p_l - p_j a_lj.  Every quantity is
+    an integer, so varpi_{i_k} itself, whose root coordinates are
+    rational, is never formed.
+    """
+    cartan = datum.cartan
+    p = [int(l == word[-1]) for l in datum.indices]
+    out = [0] * datum.rank
+    for j in reversed(word):
+        c = p[j - 1]
+        if c:
+            out[j - 1] += c
+            for l in range(datum.rank):
+                p[l] -= c * cartan[l][j - 1]
+    return tuple(out)
+
+
 class ReducedWord:
-    """A reduced word with its convex sequence beta_1 < ... < beta_k.
+    """A reduced word with its convex sequence beta_1 < ... < beta_k of
+    positive roots, as int tuples of simple-root coordinates.
 
     beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}); the word is reduced
     iff every beta_k is a positive root and they are pairwise distinct.
@@ -281,7 +199,7 @@ def _beta_sequence(datum, word):
     prefix = []
     for k, i in enumerate(word):
         b = weyl_act(datum, prefix, datum.alpha(i))
-        if not b.is_positive():
+        if not is_positive(b):
             raise NotReduced("word %s is not reduced: beta_%d is negative"
                              % (list(word), k + 1))
         if b in seen:
@@ -307,8 +225,8 @@ def positive_roots(datum):
         nxt = set()
         for r in frontier:
             for i in datum.indices:
-                s = reflect(i, r)
-                if s.is_positive() and s not in roots:
+                s = reflect(datum, i, r)
+                if is_positive(s) and s not in roots:
                     roots.add(s)
                     nxt.add(s)
         frontier = nxt
@@ -321,30 +239,18 @@ def num_positive_roots(datum):
 
 @cache
 def longest_word(datum):
-    """The lexicographically smallest reduced word for w_0.
-
-    Greedy: append the smallest i with v(alpha_i) > 0 until every simple
-    root is inverted.
-    """
-    n_pos = num_positive_roots(datum)
-    word = []
-    while len(word) < n_pos:
-        for i in datum.indices:
-            if weyl_act(datum, word, datum.alpha(i)).is_positive():
-                word.append(i)
-                break
-        else:
-            raise SearchStalled("descent search stalled")
-    return ReducedWord(datum, word)
+    """The lexicographically smallest reduced word for w_0: the greedy
+    completion of the empty word."""
+    return reduced_completion(ReducedWord(datum, ()))
 
 
 @cache
 def dual_vertex(datum, i):
     """The index i* with w_0(alpha_i) = -alpha_{i*}."""
     w0 = longest_word(datum)
-    img = -weyl_act(datum, w0.word, datum.alpha(i))
+    img = weyl_act(datum, w0.word, datum.alpha(i))
     for j in datum.indices:
-        if img == datum.alpha(j):
+        if img == datum.alpha(j, -1):
             return j
     raise NoDualVertex("w_0(alpha_%d) is not minus a simple root" % i)
 
@@ -375,13 +281,14 @@ def is_reduced(datum, word):
 
 
 def reduced_completion(w):
-    """Greedily extend a reduced word to a reduced word for w_0."""
+    """Greedily extend a reduced word v to a reduced word for w_0,
+    appending each time the smallest i with v(alpha_i) > 0."""
     datum = w.datum
     word = list(w.word)
     n_pos = num_positive_roots(datum)
     while len(word) < n_pos:
         for i in datum.indices:
-            if weyl_act(datum, word, datum.alpha(i)).is_positive():
+            if is_positive(weyl_act(datum, word, datum.alpha(i))):
                 word.append(i)
                 break
         else:
@@ -399,7 +306,7 @@ def all_reduced_words_for_w0(datum):
             out.append(ReducedWord(datum, word))
             return
         for i in datum.indices:
-            if weyl_act(datum, word, datum.alpha(i)).is_positive():
+            if is_positive(weyl_act(datum, word, datum.alpha(i))):
                 extend(word + [i])
 
     extend([])

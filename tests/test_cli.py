@@ -217,7 +217,8 @@ def test_vacuous_height_is_a_usage_error(argv, capsys):
      "error: height %d is too large: it must be < %d\n"
      % (sys.maxsize, sys.maxsize)),
 ] + [
-    # every suite that would drop --word or --orientation rejects it
+    # every suite that would drop --word, --orientation or --height
+    # rejects it
     (["check", suite, "--type", "A2", flag, value],
      "error: check %s does not take %s\n" % (suite, flag))
     for flag, value, suites in (
@@ -225,12 +226,21 @@ def test_vacuous_height_is_a_usage_error(argv, capsys):
          ("serre", "prop41", "prop42", "thm51", "remark43")),
         ("--orientation", "2>1",
          ("serre", "pairing", "prop21", "cor22", "prop31", "prop32",
-          "remark43")))
+          "remark43")),
+        ("--height", "7",
+         ("serre", "pairing", "prop21", "prop41", "remark43")))
     for suite in suites])
 def test_invalid_input_is_a_usage_error(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err == message
+
+
+def test_check_height_defaults_to_3(capsys):
+    code, out, _ = run_cli(["check", "thm51", "--type", "A2",
+                            "--orientation", "2>1"], capsys)
+    assert code == 0
+    assert json.loads(out)["reports"][0]["height_bound"] == 3
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """q-commutation, multiplicativity on the dual canonical basis, and the
 product-verification harness."""
 
+import itertools
+
 from qminor.scalars import RatScalar
-from qminor.rootdata import CartanDatum, longest_word
-from qminor.pbw import d_form, unit_datum
+from qminor.rootdata import CartanDatum, ReducedWord, longest_word
+from qminor.pbw import d_form, unit_datum, weight_tuple
 from qminor.canonical import flag_minor_datum
 from qminor.mult import (q_commute_exponent, q_commute_exponent_coords,
                          is_multiplicative, check_511, adapted_monomials,
@@ -73,6 +75,37 @@ def test_adapted_monomials():
     gens = [flag_minor_datum(W_A2, k) for k in (1, 2, 3)]
     for m in adapted_monomials(W_A2, 3):
         assert all(c >= 0 for c in m)
+
+
+def _oracle_adapted_monomials(w, height_bound):
+    """Every sum_k a_k n_k of height <= height_bound, by enumerating the
+    coefficient vectors a in a box."""
+    N = len(w.word)
+    gens = [flag_minor_datum(w, k) for k in range(1, N + 1)]
+    heights = [sum(weight_tuple(w, g)) for g in gens]
+    found = set()
+    for a in itertools.product(*(range(height_bound // h + 1)
+                                 for h in heights)):
+        if sum(c * h for c, h in zip(a, heights)) <= height_bound:
+            found.add(tuple(sum(c * g[t] for c, g in zip(a, gens))
+                            for t in range(N)))
+    return sorted(found, key=lambda m: (sum(m), m))
+
+
+def test_adapted_monomials_match_box_enumeration():
+    for label, bound in (("A2", 5), ("B2", 4), ("A3", 3)):
+        w = longest_word(CartanDatum(label))
+        assert adapted_monomials(w, bound) == \
+            _oracle_adapted_monomials(w, bound), label
+
+
+def test_adapted_monomials_walk_deep_bounds():
+    # one generator of height 1 reaches depth 3000, past the default
+    # recursion limit of a recursive walk
+    w = ReducedWord(CartanDatum("A1"), (1,))
+    got = adapted_monomials(w, 3000)
+    assert len(got) == 3001
+    assert got == [(h,) for h in range(3001)]
 
 
 def test_all_data_up_to():

@@ -12,20 +12,21 @@ from qminor.scalars import RatScalar, LaurentPoly, ONE, quantum_factorial
 from qminor.rootdata import (CartanDatum, ReducedWord, longest_word, form,
                              weyl_act, all_reduced_words_for_w0)
 from qminor.qea import (WordExpr, TriExpr, serre_element, expr_equal,
-                        canonical_form, pairing, tri_mul, _form_int,
-                        _alpha_vec)
+                        canonical_form, pairing, tri_mul)
 from qminor.pbw import (braid_T, root_vector, pbw_monomial,
                         f_pbw_monomial, pbw_coordinates, data_of_weight,
                         pairing_em_fn, dual_pbw_normalizer,
                         d_form, c_form, rlex_less, unit_datum,
                         straighten_commutator, ext_order, pbw_product,
-                        datum_weight, weight_tuple, render_datum,
+                        weight_tuple, render_datum,
                         _normalizer_pair, _root_pairing_unit, _root_table,
                         _root_norm, _root_unit_exponent, _root_tri,
                         _root_word,
                         NotAUnit, StraighteningError)
 from qminor.checks import standard_words, weights_up_to
 from qminor.quiver import adapted_word, all_orientations
+
+from weight_oracle import frac_form, frac_weyl_act
 
 A2 = CartanDatum("A2")
 A3 = CartanDatum("A3")
@@ -282,7 +283,7 @@ def _psi(i, x):
             lam[j - 1] += m
         for j, m in f:
             lam[j - 1] -= m
-        p = _form_int(datum, _alpha_vec(datum, i), lam)
+        p = form(datum, datum.alpha(i), lam)
         sign = -1 if (p // datum.d[i - 1]) % 2 else 1
         terms[(f, k, e)] = c * qp(-p, sign)
     return TriExpr(datum, terms)
@@ -296,7 +297,7 @@ def test_braid_commutes_with_omega_up_to_psi(label):
         for j in datum.indices:
             for g in (TriExpr.e_gen(datum, j), TriExpr.e_gen(datum, j, 2),
                       TriExpr.f_gen(datum, j),
-                      TriExpr.k_elt(datum, _alpha_vec(datum, j))):
+                      TriExpr.k_elt(datum, datum.alpha(j))):
                 assert braid_T(i, _omega(g)) == \
                     _psi(i, _omega(braid_T(i, g))), (i, j, g)
 
@@ -440,7 +441,7 @@ def test_d_c_form_identities():
     for n in data:
         for m in data:
             lhs = d_form(w, n, m) + d_form(w, m, n)
-            assert lhs == int(form(datum_weight(w, n), datum_weight(w, m)))
+            assert lhs == form(B2, weight_tuple(w, n), weight_tuple(w, m))
             assert d_form(w, n, m) - d_form(w, m, n) == c_form(w, n, m)
 
 
@@ -456,17 +457,24 @@ def _oracle_d_form(fgram, m, n):
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "D4"])
 def test_root_table_matches_fraction_form(label):
-    for w in _standard_and_adapted_words(CartanDatum(label)):
-        fgram = [[int(form(b, g)) for g in w.betas] for b in w.betas]
+    datum = CartanDatum(label)
+    for w in _standard_and_adapted_words(datum):
+        fbetas = [frac_weyl_act(datum, w.word[:k - 1],
+                                datum.alpha(w.word[k - 1]))
+                  for k in range(1, len(w.word) + 1)]
+        fgram = [[int(frac_form(datum, b, g)) for g in fbetas]
+                 for b in fbetas]
         betas, gram = _root_table(w)
-        assert betas == tuple(b.root_coords_int() for b in w.betas)
+        assert list(betas) == fbetas
         assert [list(row) for row in gram] == fgram
         for k in range(1, len(w.word) + 1):
             assert _root_norm(w, k) == fgram[k - 1][k - 1]
         data = [m for mu in weights_up_to(w.datum, 2)
                 for m in data_of_weight(w, mu)]
         for m in data:
-            assert weight_tuple(w, m) == datum_weight(w, m).root_coords_int()
+            assert weight_tuple(w, m) == tuple(
+                sum(c * b[t] for c, b in zip(m, fbetas))
+                for t in range(datum.rank))
             for n in data:
                 assert d_form(w, m, n) == _oracle_d_form(fgram, m, n), (m, n)
         with pytest.raises(ValueError):
@@ -560,7 +568,7 @@ def test_straightening_matches_element_arithmetic():
                 rhs = root_vector(w, k) * root_vector(w, kp)
                 for m, c in straighten_commutator(w, k, kp).items():
                     rhs = rhs - pbw_monomial(w, m).scale(c)
-                rhs = rhs.scale(qp(-int(form(bkp, bk))))
+                rhs = rhs.scale(qp(-form(datum, bkp, bk)))
                 assert expr_equal(lhs, rhs)
 
 
@@ -601,8 +609,8 @@ def test_graded_commutation_leading_term():
                     root_vector(w, kp) * root_vector(w, k), w)
                 e = exp[lead].is_q_power()
                 assert e is not None
-                assert abs(e) == abs(int(form(w.betas[k - 1],
-                                              w.betas[kp - 1])))
+                assert abs(e) == abs(form(datum, w.betas[k - 1],
+                                          w.betas[kp - 1]))
                 for m in exp:
                     assert m == lead or rlex_less(m, lead)
 

@@ -4,11 +4,11 @@ forms."""
 import pytest
 
 from qminor.scalars import RatScalar, LaurentPoly
-from qminor.rootdata import CartanDatum
+from qminor.rootdata import CartanDatum, form
 from qminor.qea import (WordExpr, TriExpr, pairing, tri_mul, serre_element,
                         canonical_form, expr_equal, expr_is_zero,
                         sigma_eta, generator_pairing, word_to_plain,
-                        plain_factor, _pairing_core, _form_int, _alpha_vec,
+                        plain_factor, _pairing_core,
                         canonicalize_word, plain_to_pairs, _normal_order,
                         _wt_vec, _vec_add)
 from qminor.pbw import (pbw_monomial, f_pbw_monomial, data_of_weight,
@@ -52,7 +52,7 @@ def test_divided_power_merge():
 def test_weight_and_homogeneity():
     x = E(A2, 1, 2) * E(A2, 2)
     assert x.is_homogeneous()
-    assert x.weight().root_coords_int() == (2, 1)
+    assert x.weight() == (2, 1)
     mixed = E(A2, 1) + E(A2, 2)
     assert not mixed.is_homogeneous()
     parts = mixed.homogeneous_components()
@@ -176,7 +176,7 @@ def _oracle_pairing(x, y):
             total = total + (c1 * c2 * plain_factor(datum, e1)
                              * plain_factor(datum, f2) * content
                              * RatScalar.from_laurent(
-                                 core.shift(-_form_int(datum, lam, mu))))
+                                 core.shift(-form(datum, lam, mu))))
     return total
 
 
@@ -203,7 +203,7 @@ def test_pairing_matches_oracle_off_weight_and_with_k_parts():
     assert not pairing(x, y).is_zero()
     # (K_lam, K_mu) on every pair of simple roots and their negatives
     for datum in (A2, B2):
-        ks = [_alpha_vec(datum, i, s) for i in datum.indices for s in (1, -1)]
+        ks = [datum.alpha(i, s) for i in datum.indices for s in (1, -1)]
         for lam in ks:
             for mu in ks:
                 kx, ky = TriExpr.k_elt(datum, lam), TriExpr.k_elt(datum, mu)
@@ -238,8 +238,8 @@ def _oracle_tri_mul(x, y):
             r2 = plain_factor(datum, f2)
             base = c1 * c2 * r1 * r2
             for fp, kp, ep, c in _normal_order(datum, pe1, pf2):
-                shift = (-_form_int(datum, k1, _wt_vec(datum, fp))
-                         - _form_int(datum, k2, _wt_vec(datum, ep)))
+                shift = (-form(datum, k1, _wt_vec(datum, fp))
+                         - form(datum, k2, _wt_vec(datum, ep)))
                 coeff = base * c * RatScalar.q_power(shift)
                 fw, ff = canonicalize_word(datum, f1 + plain_to_pairs(fp))
                 ew, ef = canonicalize_word(datum, plain_to_pairs(ep) + e2)
@@ -262,7 +262,7 @@ def _braid_images(datum, m):
             out.append(_braid_gen(datum, i, "E", j, m))
             out.append(_braid_gen(datum, i, "F", j, m))
             if m == 1:
-                out.append(_braid_gen(datum, i, "K", _alpha_vec(datum, j), 1))
+                out.append(_braid_gen(datum, i, "K", datum.alpha(j), 1))
     return out
 
 
