@@ -15,9 +15,8 @@ from .rootdata import form, minor_weight
 from .qea import WordExpr
 from .pbw import (pbw_monomial, dual_pbw_normalizer, data_of_weight,
                   check_datum, weight_tuple, render_datum,
-                  rlex_less, root_vector, pbw_coordinates, pbw_product,
-                  straighten_commutator, _letter_factorial, _letters_of_datum,
-                  _datum_of_letters, _root_table)
+                  rlex_less, pbw_coordinates, straighten_commutator,
+                  _letters_of_datum, _datum_of_letters, _root_table)
 
 
 class NotUnitriangular(ArithmeticError):
@@ -57,11 +56,11 @@ def from_dual_pbw(w, coords):
 #
 # Dual-PBW coordinate dicts {datum: RatScalar} support exact products and
 # sigma_eta with no pairing evaluation at the (possibly large) product
-# weight.  Products read a per-word table of E(m)* E(n)*, each entry
-# straightened once in the dual root vectors E*_k over Z[q, q^-1] (the
-# dual PBW basis spans an integral form), so a product of
-# Z[q]-coordinates is a sum of denominator-free multiply-adds.  sigma_eta
-# still straightens in PBW coordinates.
+# weight.  Both straighten words in the dual root vectors E*_k over
+# Z[q, q^-1] (the dual PBW basis spans an integral form): a product reads
+# a per-word table of E(m)* E(n)*, and sigma_eta(E(n)*) is a signed
+# q-power times the reversed letters of n.  So both are sums of
+# denominator-free multiply-adds on Z[q]-coordinates.
 
 def dual_to_pbw_coords(w, coords):
     """E(m)* = f_m E(m): convert {E(m)*}-coordinates to {E(m)}-coordinates."""
@@ -171,35 +170,30 @@ def dual_product(w, ca, cb):
 
 
 @cache
-def _sigma_eta_root_coords(w, k):
-    """PBW coordinates of sigma_eta(E_{beta_k}); computed by pairing at the
-    (small) root weight, once per (word, k)."""
-    return pbw_coordinates(root_vector(w, k).sigma_eta(), w)
-
-
-def _sigma_eta_pbw_monomial(w, n):
-    """PBW coordinates of sigma_eta(E(n)).  sigma_eta is a bar-linear
-    antiautomorphism, so the image is the descending product of the
-    sigma_eta(E_{beta_k})^{n_k} factors, assembled by straightening,
-    divided by prod_k [n_k]!."""
-    N = len(w.word)
-    out = {(0,) * N: RatScalar.one()}
-    for k in range(N, 0, -1):
-        for _ in range(n[k - 1]):
-            out = pbw_product(w, out, _sigma_eta_root_coords(w, k))
-    fact = _letter_factorial(w, n)
-    return {m: v / fact for m, v in out.items()}
+def _sigma_eta_unit(w, n):
+    """q^-e(n) prod_k s_{beta_k}^{n_k}, a signed power of q."""
+    unit = RatScalar.q_power(-_letter_exponent(w, n))
+    for beta, c in zip(w.betas, n):
+        unit = unit * eigen_scalar(w.datum, beta) ** c
+    return unit
 
 
 def sigma_eta_dual_coords(w, coords):
-    """Dual-PBW coordinates of sigma_eta(x) for x given the same way."""
+    """Dual-PBW coordinates of sigma_eta(x) for x given the same way:
+    sigma_eta(E(n)*) = q^-e(n) prod_k s_{beta_k}^{n_k} E*_N^{n_N} ...
+    E*_1^{n_1}, the reversed letters of n.  Proof: (1) B(e_k)* = E*_k
+    (Prop 2.1), so the twisted bar fixes E*_k and sigma_eta(E*_k) =
+    s_{beta_k} E*_k; (2) E(n)* = q^e(n) E*_1^{n_1} ... E*_N^{n_N} (base
+    case of _straighten_dual_letters); (3) sigma_eta is a bar-linear
+    antiautomorphism, so it turns q^e(n) into q^-e(n) and reverses the
+    letters, each rescaled by (1)."""
     acc = {}
     for n, c in coords.items():
-        f = dual_pbw_normalizer(w, n)
-        pref = c.bar() * f.bar()
-        for m, v in _sigma_eta_pbw_monomial(w, n).items():
-            add_term(acc, m, pref * v)
-    return pbw_to_dual_coords(w, acc)
+        pref = c.bar() * _sigma_eta_unit(w, n)
+        letters = _letters_of_datum(n)[::-1]
+        for m, v in _straighten_dual_letters(w, letters).items():
+            add_term(acc, m, pref * RatScalar.from_laurent(v))
+    return acc
 
 
 # -- the lattice L* ---------------------------------------------------------

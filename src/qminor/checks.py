@@ -106,13 +106,19 @@ def check_normalizers(label, height_bound, words=None):
 # -- dual canonical basis ------------------------------------------------------
 
 def check_prop21(label, words=None):
-    """B(e_k)* = E(e_k)* for every k."""
+    """B(e_k)* = E(e_k)* for every k, and by pairing the premise that the
+    bar matrix builds in, sigma_eta(E*_k) = s_{beta_k} E*_k: with E*_k =
+    f E_{beta_k}, sigma_eta(E_{beta_k}) = s_{beta_k} f / bar(f) E_{beta_k}."""
     datum = CartanDatum(label)
     failures = []
     for w in (words or standard_words(datum)):
         for k in range(1, len(w.word) + 1):
             n = pbw.unit_datum(len(w.word), k)
             mu = pbw.weight_tuple(w, n)
+            f = pbw.dual_pbw_normalizer(w, n)
+            image = pbw.pbw_coordinates(pbw.root_vector(w, k).sigma_eta(), w)
+            if image != {n: canonical.eigen_scalar(datum, mu) * f / f.bar()}:
+                failures.append([list(w.word), k, "sigma_eta"])
             c = canonical.dual_canonical_basis(mu, w)[n]
             if set(c) != {n} or not c[n].is_one():
                 failures.append([list(w.word), k])

@@ -211,11 +211,6 @@ def _beta_sequence(datum, word):
     return tuple(betas)
 
 
-def beta_sequence(w):
-    """The convex root sequence of a ReducedWord."""
-    return w.betas
-
-
 @cache
 def positive_roots(datum):
     """R+ via closure under simple reflections from the simple roots."""

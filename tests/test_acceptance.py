@@ -4,7 +4,7 @@ tolerances anywhere -- and each criterion carries its runtime budget."""
 
 import time
 
-from qminor.rootdata import CartanDatum, ReducedWord
+from qminor.rootdata import CartanDatum
 from qminor.quiver import all_orientations, adapted_word
 from qminor.mult import verify_theorem_51
 from qminor import checks

@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 import qminor.canonical
 
-from qminor.scalars import RatScalar, LaurentPoly
+from qminor.scalars import RatScalar
 from qminor.rootdata import (CartanDatum, ReducedWord, longest_word, form,
                              weights_up_to, all_reduced_words_for_w0)
 from qminor.qea import WordExpr, expr_equal, sigma_eta
 from qminor.pbw import (pbw_monomial, dual_pbw_normalizer, data_of_weight,
-                        rlex_less, weight_tuple,
-                        pbw_coordinates, pbw_product, straighten_commutator,
-                        unit_datum)
+                        rlex_less, weight_tuple, pbw_product,
+                        straighten_commutator, unit_datum)
 from qminor.canonical import (dual_pbw_element, dual_pbw_expansion,
                               from_dual_pbw, sigma_eta_dual_coords,
                               eigen_scalar, bar_matrix, dual_canonical_basis,
@@ -28,6 +27,7 @@ from qminor.canonical import (dual_pbw_element, dual_pbw_expansion,
                               FlagMinorWeightMismatch)
 from qminor.checks import standard_words
 
+from sigma_eta_oracle import pbw_route_sigma_eta_dual_coords
 from weight_oracle import frac_minor_weight
 from qminor.quiver import adapted_word, all_orientations
 
@@ -286,6 +286,35 @@ def test_bar_matrix_is_involutive():
             back = {m: c * s_inv for m, c in back.items()
                     if not (c * s_inv).is_zero()}
             assert back == {n: RatScalar.one()}
+
+
+SIGMA_ETA_HEIGHTS = {"A2": 4, "B2": 3, "A3": 3, "A4": 3, "D4": 3}
+
+
+def _every_or_adapted_word(datum):
+    if datum.label in ("A4", "D4"):
+        return list({w.word: w for w in map(adapted_word,
+                                            all_orientations(datum))}.values())
+    return all_reduced_words_for_w0(datum)
+
+
+@pytest.mark.parametrize("label", sorted(SIGMA_ETA_HEIGHTS))
+def test_sigma_eta_matches_pbw_route(label):
+    # The closed form on every column E(n)* of a weight space, then on
+    # its B(n)*, whose coordinates are not all 1, against the PBW-product
+    # route.
+    datum = CartanDatum(label)
+    for w in _every_or_adapted_word(datum):
+        for mu in weights_up_to(datum, SIGMA_ETA_HEIGHTS[label]):
+            data = data_of_weight(w, mu)
+            for n in data:
+                col = {n: RatScalar.one()}
+                assert sigma_eta_dual_coords(w, col) == \
+                    pbw_route_sigma_eta_dual_coords(w, col), (w, n)
+            for n in data:
+                coords = _canonical_coords(w, n)
+                assert sigma_eta_dual_coords(w, coords) == \
+                    pbw_route_sigma_eta_dual_coords(w, coords), (w, n)
 
 
 # -- the dual canonical basis --------------------------------------------------

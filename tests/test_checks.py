@@ -6,13 +6,13 @@ import pytest
 import qminor.pbw
 
 from qminor.scalars import LaurentPoly, RatScalar
-from qminor.rootdata import CartanDatum, ReducedWord, longest_word
+from qminor.rootdata import CartanDatum
 from qminor.checks import (standard_words, weights_up_to, check_serre,
                            check_pairing, check_biorthogonality,
                            check_normalizers, check_prop21, check_cor22,
                            check_prop31, check_prop32, check_prop41,
-                           check_prop42, check_thm51, check_claim43,
-                           check_remark43, SUITES)
+                           check_prop42, check_thm51, check_remark43,
+                           SUITES)
 
 
 def test_standard_words():
@@ -79,6 +79,20 @@ def test_prop21_suite():
     for label in ("A2", "B2"):
         r = check_prop21(label)
         assert r["ok"], r["failures"]
+
+
+def test_prop21_checks_the_sigma_eta_premise_by_pairing(monkeypatch):
+    # The bar matrix assumes sigma_eta(E*_k) = s_beta E*_k, so B(e_k)* =
+    # E(e_k)* holds whatever the pairing says; the suite must still fail
+    # when the paired image of E_beta is wrong.
+    coords = qminor.pbw.pbw_coordinates
+    monkeypatch.setattr(qminor.pbw, "pbw_coordinates",
+                        lambda x, w: {m: -c for m, c in coords(x, w).items()})
+    r = check_prop21("B2")
+    assert not r["ok"]
+    assert r["failures"] == [[list(w.word), k, "sigma_eta"]
+                             for w in standard_words(CartanDatum("B2"))
+                             for k in range(1, 5)]
 
 
 def test_cor22_small():

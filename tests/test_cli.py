@@ -1,7 +1,6 @@
 """The command-line interface: expression parsing, subcommands, exit
 codes, and byte-for-byte agreement with the golden files."""
 
-import io
 import json
 import os
 import sys

@@ -3,9 +3,8 @@ product-verification harness."""
 
 import itertools
 
-from qminor.scalars import RatScalar
 from qminor.rootdata import CartanDatum, ReducedWord, longest_word
-from qminor.pbw import d_form, unit_datum, weight_tuple
+from qminor.pbw import d_form, weight_tuple
 from qminor.canonical import flag_minor_datum
 from qminor.mult import (q_commute_exponent, q_commute_exponent_coords,
                          is_multiplicative, check_511, adapted_monomials,

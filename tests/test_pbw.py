@@ -8,11 +8,11 @@ import pytest
 
 import qminor.pbw
 
-from qminor.scalars import RatScalar, LaurentPoly, ONE, quantum_factorial
+from qminor.scalars import RatScalar, ONE, quantum_factorial
 from qminor.rootdata import (CartanDatum, ReducedWord, longest_word, form,
                              weyl_act, all_reduced_words_for_w0)
 from qminor.qea import (WordExpr, TriExpr, serre_element, expr_equal,
-                        canonical_form, pairing, tri_mul)
+                        pairing, tri_mul)
 from qminor.pbw import (braid_T, root_vector, pbw_monomial,
                         f_pbw_monomial, pbw_coordinates, data_of_weight,
                         pairing_em_fn, dual_pbw_normalizer,

@@ -5,7 +5,7 @@ import pytest
 
 from qminor.rootdata import CartanDatum, longest_word
 from qminor.pbw import unit_datum, d_form
-from qminor.quiver import (Orientation, NotASink, parse_orientation,
+from qminor.quiver import (NotASink, parse_orientation,
                            all_orientations, reflect_at_sink, adapted_word,
                            tau, tau_class, dim_vector, euler_form, hom_dim,
                            ext_dim, check_d_identity, check_monotone,

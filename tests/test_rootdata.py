@@ -5,7 +5,7 @@ import pytest
 from qminor.rootdata import (CartanDatum, ReducedWord, NotReduced,
                              form, reflect, weyl_act, is_positive,
                              minor_weight, longest_word, positive_roots,
-                             num_positive_roots, beta_sequence, dual_vertex,
+                             num_positive_roots, dual_vertex,
                              is_reduced, reduced_completion,
                              all_reduced_words_for_w0)
 from qminor.checks import standard_words
