@@ -169,13 +169,17 @@ def dual_product(w, ca, cb):
     return out
 
 
-@cache
 def _sigma_eta_unit(w, n):
-    """q^-e(n) prod_k s_{beta_k}^{n_k}, a signed power of q."""
-    unit = RatScalar.q_power(-_letter_exponent(w, n))
-    for beta, c in zip(w.betas, n):
-        unit = unit * eigen_scalar(w.datum, beta) ** c
-    return unit
+    """q^-e(n) prod_k s_{beta_k}^{n_k}, a signed power of q, with the
+    exponent and sign of each s_beta (eigen_scalar) summed as ints."""
+    betas, gram = _root_table(w)
+    exp, odd = -_letter_exponent(w, n), 0
+    for k, c in enumerate(n):
+        if c:
+            exp -= c * (gram[k][k] // 2
+                        + sum(x * d for x, d in zip(betas[k], w.datum.d)))
+            odd += c * sum(betas[k])
+    return RatScalar.q_power(exp, -1 if odd % 2 else 1)
 
 
 def sigma_eta_dual_coords(w, coords):

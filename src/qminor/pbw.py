@@ -155,17 +155,21 @@ def _root_table(w):
                         for a in betas)
 
 
-def _root_unit_exponent(w, k):
-    """The exponent a_k = sum c_i d_i - <beta_k,beta_k>/2 of the
-    normalizing unit q^(a_k) of E_{beta_k}, beta_k = sum c_i alpha_i.
+@cache
+def _root_units(w):
+    """(a_k, ht beta_k - 1) for k = 1..N.  a_k = sum c_i d_i -
+    <beta_k,beta_k>/2 for beta_k = sum c_i alpha_i is the exponent of
+    the normalizing unit q^(a_k) of E_{beta_k}, and ht beta_k - 1 the
+    sign exponent of F_{beta_k} in f_pbw_monomial.
 
     The unit is trivial on simple roots and makes the dual PBW basis
     compatible with the twisted bar involution (unit diagonal) while
     keeping every dual normalizer f_m in 1 + qZ[q].
     """
     betas, gram = _root_table(w)
-    return (sum(c * d for c, d in zip(betas[k - 1], w.datum.d))
-            - gram[k - 1][k - 1] // 2)
+    return tuple((sum(c * d for c, d in zip(beta, w.datum.d))
+                  - gram[k][k] // 2, sum(beta) - 1)
+                 for k, beta in enumerate(betas))
 
 
 def root_vector(w, k):
@@ -183,7 +187,7 @@ def root_vector(w, k):
     signals a convention bug, not a user error.
     """
     x = _root_tri(w.datum, _root_word(w.datum, w.word[:k])).project_uplus()
-    return x.scale(RatScalar.q_power(_root_unit_exponent(w, k)))
+    return x.scale(RatScalar.q_power(_root_units(w)[k - 1][0]))
 
 
 # -- PBW monomials and coordinates ------------------------------------------
@@ -222,7 +226,7 @@ def f_pbw_monomial(w, m):
     """F(m) = F_{beta_1}^{(m_1)} ... F_{beta_N}^{(m_N)}, the mirrored PBW
     monomial with its factors in word order like E(m), read off E(m):
     F(m) = prod_k ((-1)^(ht beta_k - 1) r_k)^(m_k) omega(E(m)), with
-    r_k = q^(a_k) the root unit (_root_unit_exponent) and omega the
+    r_k = q^(a_k) the root unit (_root_units) and omega the
     Chevalley involution E_i <-> F_i, K_mu -> K_-mu, so omega(E(m)) is
     E(m) with its words put on the F side.  Root vectors:
     F_{beta_k} = r_k T_{i_1} ... T_{i_{k-1}}(F_{i_k}) is
@@ -243,8 +247,8 @@ def f_pbw_monomial(w, m):
     this side too.  The braid route stays in the tests as an oracle.
     """
     m = check_datum(w, m)
-    a = sum(c * _root_unit_exponent(w, k) for k, c in enumerate(m, start=1))
-    odd = sum(c * (sum(b) - 1) for c, b in zip(m, _root_table(w)[0])) % 2
+    a = sum(c * ak for c, (ak, _) in zip(m, _root_units(w)))
+    odd = sum(c * hk for c, (_, hk) in zip(m, _root_units(w))) % 2
     return WordExpr(w.datum, {word: -c.shift(a) if odd else c.shift(a)
                               for word, c in _monomial(w, m).terms.items()},
                     "F")

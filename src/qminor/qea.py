@@ -3,17 +3,19 @@ the Hopf pairing, and canonical forms.
 
 Elements of U_q(n) are Q(q)-combinations of divided-power words.
 Equality is decided by the vector of pairings against all plain F-words
-of the weight (the pairing is nondegenerate) — never by rewriting
-modulo the quantum Serre relations, so no Groebner machinery appears.
+of the weight (the pairing is nondegenerate), computed in one walk of
+q-derivations D_b over the merged plain-word sum of the element, never
+by rewriting modulo the quantum Serre relations, so no Groebner
+machinery appears.
 
 The Hopf pairing follows one fixed convention, stated where it is used
-(generator_pairing, _pairing_core, pairing).  The memos are
+(the Hopf pairing section and pairing).  The memos are
 functools.cache wrappers that live as long as the process.
 """
 
 from functools import cache
 
-from .scalars import (LaurentPoly, RatScalar, ZERO, ONE, add_term,
+from .scalars import (LaurentPoly, RatScalar, ONE, add_term,
                       join_signed, quantum_factorial, quantum_binomial)
 from .rootdata import form
 
@@ -80,32 +82,6 @@ def plain_factor(datum, word):
 
 def plain_to_pairs(plain):
     return tuple((i, 1) for i in plain)
-
-
-def plain_words_of_weight(datum, mu):
-    """All plain words of weight mu (a root-coordinate sequence), sorted
-    lexicographically."""
-    letters = []
-    for i, c in enumerate(mu, start=1):
-        if c < 0:
-            return ()
-        letters.extend([i] * c)
-    out = []
-
-    def build(prefix, remaining):
-        if not any(remaining):
-            out.append(tuple(prefix))
-            return
-        for i in range(1, datum.rank + 1):
-            if remaining[i - 1]:
-                remaining[i - 1] -= 1
-                prefix.append(i)
-                build(prefix, remaining)
-                prefix.pop()
-                remaining[i - 1] += 1
-
-    build([], list(mu))
-    return tuple(out)
 
 
 def _word_factors(letter, word):
@@ -261,14 +237,6 @@ class WordExpr:
             return (0,) * self.datum.rank
         (mu,) = comps
         return mu
-
-    def plain_expansion(self):
-        """Map plain word -> RatScalar, expanding divided powers."""
-        out = {}
-        for w, c in self.terms.items():
-            add_term(out, word_to_plain(w),
-                     c * plain_factor(self.datum, w))
-        return out
 
     # -- symmetries -------------------------------------------------------
 
@@ -542,46 +510,70 @@ def tri_mul(x, y):
 
 
 # -- the Hopf pairing ----------------------------------------------------
+#
+# Coproduct: Delta(E_i) = E_i x 1 + K_i x E_i,
+# Delta(F_i) = F_i x K_-i + 1 x F_i.  For plain words u, v of one weight,
+# (E_u, F_v) = prod_a (E_a, F_a) core(u, v), with core((), ()) = 1 and
+# core(u, b v') = core(D_b u, v') for the q-derivation
+#   D_b(u) = sum_{t: u_t = b} q^-(sum_{r<t} (alpha_{u_r}, alpha_b)) u^(t),
+# u^(t) being u without its letter t (Lusztig, Introduction to Quantum
+# Groups, 1.2.13), and (E_a, F_a) = 1/(1 - q_a^-2).  D_b is linear, so it
+# runs over a whole merged sum.
 
 @cache
-def _pairing_core(datum, eplain, fplain):
-    """The q-power part of (E-word, F-word): the full pairing with the
-    generator factor prod_a (E_a, F_a) divided out.  A Laurent polynomial.
-
-    Coproduct: Delta(E_i) = E_i x 1 + K_i x E_i,
-    Delta(F_i) = F_i x K_-i + 1 x F_i.
-    """
-    if sorted(eplain) != sorted(fplain):
-        return ZERO
-    if not eplain:
-        return ONE
-    a = eplain[0]
-    rest = eplain[1:]
-    row = datum.form_matrix[a - 1]
-    total = ZERO
-    run = 0
-    for t, b in enumerate(fplain):
-        if b == a:
-            sub = _pairing_core(datum, rest, fplain[:t] + fplain[t + 1:])
-            if not sub.is_zero():
-                total = total + sub.shift(run)
-        run -= row[b - 1]
-    return total
-
-
-def generator_pairing(datum, i):
-    """(E_i, F_i) = 1/(1 - q_i^{-2})."""
-    return RatScalar(ONE, LaurentPoly({0: 1, -2 * datum.d[i - 1]: -1}))
+def _plain_form(datum, word):
+    """(plain word, weight mu, [mu]!/prod_j [k_j]_{q_{i_j}}!) for a
+    divided-power word E_{i_1}^{(k_1)} ..., [mu]! = prod_i [mu_i]_{q_i}!:
+    the word is its plain word times the last entry, a Laurent
+    polynomial, over [mu]!."""
+    out = ONE
+    seen = [0] * datum.rank
+    for i, k in word:
+        if seen[i - 1]:
+            out = out * quantum_binomial(seen[i - 1] + k, k,
+                                         datum.root_norm(i))
+        seen[i - 1] += k
+    return word_to_plain(word), tuple(seen), out
 
 
 @cache
-def _content_pairing(datum, counts):
-    """prod_i (E_i, F_i)^{counts_i}, the generator factor of a pairing
-    between words with letter counts `counts`."""
-    out = RatScalar.one()
-    for i, c in enumerate(counts, start=1):
+def _weight_factors(datum, mu):
+    """([mu]!, prod_i (1 - q_i^-2)^mu_i): the denominator of a sum merged
+    at weight mu, and that of the generator factor prod_i (E_i, F_i)^mu_i."""
+    fact = content = ONE
+    for i, c in enumerate(mu, start=1):
         if c:
-            out = out * generator_pairing(datum, i) ** c
+            fact = fact * quantum_factorial(c, datum.root_norm(i))
+            content = content * LaurentPoly(
+                {0: 1, -2 * datum.d[i - 1]: -1}) ** c
+    return fact, content
+
+
+def _merge_plain(datum, items):
+    """({weight mu: {(bucket, plain word): LaurentPoly}}, buckets) from
+    (tag, divided-power word, c) items; buckets[bucket] = (tag, den) with
+    den the denominator of c.  Over den [mu]!, a word adds num(c) times
+    its multinomial (_plain_form) to its plain word, unreduced."""
+    buckets, out = {}, {}
+    for tag, word, c in items:
+        plain, mu, factor = _plain_form(datum, word)
+        add_term(out.setdefault(mu, {}),
+                 (buckets.setdefault((tag, c.den), len(buckets)), plain),
+                 c.num * factor)
+    return out, list(buckets)
+
+
+def _derive(datum, state, b):
+    """D_b on every plain word of state {(bucket, word): LaurentPoly},
+    with equal results merged and zero sums dropped."""
+    row = datum.form_matrix[b - 1]
+    out = {}
+    for (bucket, u), c in state.items():
+        run = 0
+        for t, a in enumerate(u):
+            if a == b:
+                add_term(out, (bucket, u[:t] + u[t + 1:]), c.shift(run))
+            run -= row[a - 1]
     return out
 
 
@@ -592,10 +584,11 @@ def pairing(x, y):
     y: WordExpr (side F) or TriExpr with terms F-word * K_mu.
     The K parts pair as (K_lam, K_mu) = q^{-(lam, mu)}.
 
-    Each y-term is expanded to (plain word, K, coefficient) once.  For an
-    x-term, the q-power cores against the y-terms of its letter content
-    are summed first; the generator factor prod (E_i, F_i) multiplies
-    once per letter content.
+    Both sides are merged per weight (_merge_plain), one bucket per K part
+    and denominator.  The x-sum is carried through D_b along the sorted
+    plain F-words of y, each common prefix derived once; at the end of a
+    word it pairs with that word's numerators.  One RatScalar is built per
+    denominator of the total with a nonzero numerator.
     """
     if isinstance(x, WordExpr):
         if x.side != "E":
@@ -608,32 +601,37 @@ def pairing(x, y):
     datum = x.datum
     if datum is not y.datum:
         raise ValueError("pairing over different Cartan data")
-    ys = {}
-    for (f2, mu, e2), c2 in y.terms.items():
-        if e2:
-            raise ValueError("second pairing argument has E content")
-        pf = word_to_plain(f2)
-        ys.setdefault(_wt_vec(datum, pf), []).append(
-            (pf, mu, c2 * plain_factor(datum, f2)))
-    sums = {}
-    for (f1, lam, e1), c1 in x.terms.items():
-        if f1:
-            raise ValueError("first pairing argument has F content")
-        pe = word_to_plain(e1)
-        counts = _wt_vec(datum, pe)
-        acc = RatScalar.zero()
-        for pf, mu, c2 in ys.get(counts, ()):
-            core = _pairing_core(datum, pe, pf)
-            if not core.is_zero():
-                acc = acc + c2 * RatScalar.from_laurent(
-                    core.shift(-form(datum, lam, mu)))
-        if not acc.is_zero():
-            acc = acc * c1 * plain_factor(datum, e1)
-            add_term(sums, counts, acc)
-    total = RatScalar.zero()
-    for counts, val in sums.items():
-        total = total + val * _content_pairing(datum, counts)
-    return total
+    if any(f1 for f1, _, _ in x.terms):
+        raise ValueError("first pairing argument has F content")
+    if any(e2 for _, _, e2 in y.terms):
+        raise ValueError("second pairing argument has E content")
+    xs, xb = _merge_plain(datum, [(lam, e1, c1)
+                                  for (_, lam, e1), c1 in x.terms.items()])
+    ys, yb = _merge_plain(datum, [(mu, f2, c2)
+                                  for (f2, mu, _), c2 in y.terms.items()])
+    parts = {}
+    for wt, ysum in ys.items():
+        if not xs.get(wt):
+            continue
+        nums = {}
+        stack, prev = [xs[wt]], ()
+        for (j, v), cy in sorted(ysum.items(), key=lambda item: item[0][1]):
+            n = 0
+            while n < len(prev) and prev[n] == v[n]:
+                n += 1
+            del stack[n + 1:]
+            for b in v[n:]:
+                stack.append(_derive(datum, stack[-1], b))
+            prev = v
+            for (i, _), cx in stack[-1].items():
+                add_term(nums, (i, j), cx * cy)
+        fact, content = _weight_factors(datum, wt)
+        for (i, j), num in nums.items():
+            (lam, d1), (mu, d2) = xb[i], yb[j]
+            add_term(parts, d1 * d2 * fact * fact * content,
+                     num.shift(-form(datum, lam, mu)))
+    vals = [RatScalar(num, den) for den, num in parts.items()]
+    return sum(vals[1:], vals[0]) if vals else RatScalar.zero()
 
 
 # -- canonical forms ------------------------------------------------------
@@ -672,25 +670,36 @@ class CanonicalForm:
 
 
 def canonical_form(x):
-    """The pairing vector of a homogeneous UPlusExpr."""
+    """The pairing vector of a homogeneous UPlusExpr, in one walk: from
+    the merged plain-word sum of x, D_b for every letter b at every depth,
+    a branch pruned as soon as its sum vanishes.  The words reached at
+    full depth are the plain words w with (x, F_w) != 0, in lexicographic
+    order."""
     if x.side != "E":
         raise ValueError("canonical_form expects an E-side expression")
     datum = x.datum
     if x.is_zero():
         return CanonicalForm(datum, (0,) * datum.rank, {})
     mu = x.weight()
-    plain = x.plain_expansion()
-    content = _content_pairing(datum, mu)
+    height = sum(mu)
+    fact, content = _weight_factors(datum, mu)
     entries = {}
-    for w in plain_words_of_weight(datum, mu):
-        val = RatScalar.zero()
-        for u, c in plain.items():
-            core = _pairing_core(datum, u, w)
-            if not core.is_zero():
-                val = val + c * RatScalar.from_laurent(core)
-        val = val * content
-        if not val.is_zero():
-            entries[w] = val
+
+    def visit(word, state):
+        if len(word) == height:
+            vals = [RatScalar(num, buckets[i][1] * fact * content)
+                    for (i, _), num in state.items()]
+            entries[word] = sum(vals[1:], vals[0])
+            return
+        for b in datum.indices:
+            nxt = _derive(datum, state, b)
+            if nxt:
+                visit(word + (b,), nxt)
+
+    sums, buckets = _merge_plain(datum, [((), w, c)
+                                         for w, c in x.terms.items()])
+    (state,) = sums.values()
+    visit((), state)
     return CanonicalForm(datum, mu, entries)
 
 

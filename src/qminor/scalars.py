@@ -531,11 +531,11 @@ def quantum_factorial(k, norm):
 
 
 def quantum_binomial(n, k, norm):
-    """Gaussian binomial [n choose k] at q_alpha = q^(norm/2)."""
+    """Gaussian binomial [n choose k] at q_alpha = q^(norm/2), an exact
+    quotient in Z[q, q^-1], so it takes no gcd."""
     if k < 0 or k > n:
         return ZERO
     num = ONE
     for j in range(k):
         num = num * quantum_integer(n - j, norm)
-    r = RatScalar(num, quantum_factorial(k, norm))
-    return r.as_laurent()
+    return _exact_divide(num, quantum_factorial(k, norm))

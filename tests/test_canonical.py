@@ -22,7 +22,8 @@ from qminor.canonical import (dual_pbw_element, dual_pbw_expansion,
                               flag_minor_datum, flag_minor, demazure_flag,
                               basis_element_json, dual_product,
                               dual_to_pbw_coords, pbw_to_dual_coords,
-                              _dual_commutator,
+                              _dual_commutator, _letter_exponent,
+                              _sigma_eta_unit,
                               NotUnitriangular, NonLaurentStraightening,
                               FlagMinorWeightMismatch)
 from qminor.checks import standard_words
@@ -239,6 +240,20 @@ def test_eigen_scalar_values():
     assert eigen_scalar(A2, (1, 0)) == qp(-2, -1)
     assert eigen_scalar(A2, (1, 1)) == qp(-3)
     assert eigen_scalar(B2, (0, 1)) == qp(-4, -1)
+
+
+@pytest.mark.parametrize("label", ["B2", "A3"])
+def test_sigma_eta_unit_matches_eigen_scalars(label):
+    # the int exponent and sign against the RatScalar product
+    # q^-e(n) prod_k s_{beta_k}^{n_k}, on every reduced word
+    datum = CartanDatum(label)
+    for w in all_reduced_words_for_w0(datum):
+        for mu in weights_up_to(datum, 3):
+            for n in data_of_weight(w, mu):
+                unit = qp(-_letter_exponent(w, n))
+                for beta, c in zip(w.betas, n):
+                    unit = unit * eigen_scalar(datum, beta) ** c
+                assert _sigma_eta_unit(w, n) == unit, (w.word, n)
 
 
 def test_dual_pbw_is_twisted_bar_eigenvector_on_roots():

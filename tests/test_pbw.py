@@ -20,7 +20,7 @@ from qminor.pbw import (braid_T, root_vector, pbw_monomial,
                         straighten_commutator, ext_order, pbw_product,
                         weight_tuple, render_datum,
                         _normalizer_pair, _root_pairing_unit, _root_table,
-                        _root_norm, _root_unit_exponent, _root_tri,
+                        _root_norm, _root_units, _root_tri,
                         _root_word,
                         NotAUnit, StraighteningError)
 from qminor.checks import standard_words, weights_up_to
@@ -190,7 +190,7 @@ def _oracle_f_root_vector(w, k):
         assert not e and kv == zk, (f, kv, e)
         terms[f] = c
     return WordExpr(w.datum, terms, "F").scale(
-        RatScalar.q_power(_root_unit_exponent(w, k)))
+        RatScalar.q_power(_root_units(w)[k - 1][0]))
 
 
 def _mirror_f_root_vector(w, k):
@@ -199,7 +199,7 @@ def _mirror_f_root_vector(w, k):
     terms of F(m) as f_pbw_monomial does."""
     sign = -1 if sum(_root_table(w)[0][k - 1]) % 2 == 0 else 1
     return WordExpr(w.datum, root_vector(w, k).terms, "F").scale(
-        RatScalar.q_power(_root_unit_exponent(w, k), sign))
+        RatScalar.q_power(_root_units(w)[k - 1][0], sign))
 
 
 def _divided_power_chain(w, m, f_root_vector):

@@ -135,6 +135,18 @@ def test_quantum_factorial_and_binomial():
     assert b.bar() == b
 
 
+def test_quantum_binomial_matches_reduced_fraction():
+    # the exact quotient against the reduced RatScalar it replaced
+    for norm in (2, 4, 6):
+        for n in range(9):
+            for k in range(n + 1):
+                num = LaurentPoly.from_int(1)
+                for j in range(k):
+                    num = num * quantum_integer(n - j, norm)
+                frac = RatScalar(num, quantum_factorial(k, norm))
+                assert quantum_binomial(n, k, norm) == frac.as_laurent()
+
+
 def test_quantum_factorial_bar_symmetric():
     for k in range(5):
         for norm in (2, 4):
