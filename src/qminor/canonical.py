@@ -10,7 +10,7 @@ recursion over the right-lexicographic order.
 
 from functools import cache
 
-from .scalars import LaurentPoly, RatScalar, add_term
+from .scalars import LaurentPoly, ZERO, ONE, add_term
 from .rootdata import form, minor_weight
 from .qea import WordExpr
 from .pbw import (pbw_monomial, dual_pbw_normalizer, data_of_weight,
@@ -24,7 +24,8 @@ class NotUnitriangular(ArithmeticError):
 
 
 class NoSolution(ArithmeticError):
-    """The triangular solve hit a constant-term obstruction."""
+    """The triangular solve met a correction term that is not
+    bar-antisymmetric (convention bug)."""
 
 
 class FlagMinorWeightMismatch(ArithmeticError):
@@ -54,13 +55,13 @@ def from_dual_pbw(w, coords):
 
 # -- coordinate-level algebra ------------------------------------------------
 #
-# Dual-PBW coordinate dicts {datum: RatScalar} support exact products and
+# Dual-PBW coordinate dicts {datum: LaurentPoly} support exact products and
 # sigma_eta with no pairing evaluation at the (possibly large) product
 # weight.  Both straighten words in the dual root vectors E*_k over
 # Z[q, q^-1] (the dual PBW basis spans an integral form): a product reads
 # a per-word table of E(m)* E(n)*, and sigma_eta(E(n)*) is a signed
 # q-power times the reversed letters of n.  So both are sums of
-# denominator-free multiply-adds on Z[q]-coordinates.
+# denominator-free multiply-adds; a RatScalar coordinate makes them RatScalar.
 
 def dual_to_pbw_coords(w, coords):
     """E(m)* = f_m E(m): convert {E(m)*}-coordinates to {E(m)}-coordinates."""
@@ -93,13 +94,11 @@ def _dual_commutator(w, k, kp):
     / f_m.  Raises NonLaurentStraightening if a coefficient is not in
     Z[q, q^-1].
     """
-    one = RatScalar.one()
     lead = tuple(int(t in (k - 1, kp - 1)) for t in range(len(w.word)))
-    f = dual_to_pbw_coords(w, {lead: one})[lead]
+    f = dual_pbw_normalizer(w, lead)
     out = {}
-    for m, c in pbw_to_dual_coords(w, {
-            m: f * c for m, c in straighten_commutator(w, k, kp).items()
-            }).items():
+    for m, c in straighten_commutator(w, k, kp).items():
+        c = f * c / dual_pbw_normalizer(w, m)
         if not c.is_laurent():
             raise NonLaurentStraightening(
                 "S* of E*_%d E*_%d on %s has %s at %s"
@@ -153,7 +152,7 @@ def _dual_unit_product(w, m, n):
     straightened letters of m followed by those of n."""
     e = _letter_exponent(w, m) + _letter_exponent(w, n)
     letters = _letters_of_datum(m) + _letters_of_datum(n)
-    return {d: RatScalar.from_laurent(c.shift(e))
+    return {d: c.shift(e)
             for d, c in _straighten_dual_letters(w, letters).items()}
 
 
@@ -179,7 +178,7 @@ def _sigma_eta_unit(w, n):
             exp -= c * (gram[k][k] // 2
                         + sum(x * d for x, d in zip(betas[k], w.datum.d)))
             odd += c * sum(betas[k])
-    return RatScalar.q_power(exp, -1 if odd % 2 else 1)
+    return LaurentPoly.q_power(exp, -1 if odd % 2 else 1)
 
 
 def sigma_eta_dual_coords(w, coords):
@@ -196,7 +195,7 @@ def sigma_eta_dual_coords(w, coords):
         pref = c.bar() * _sigma_eta_unit(w, n)
         letters = _letters_of_datum(n)[::-1]
         for m, v in _straighten_dual_letters(w, letters).items():
-            add_term(acc, m, pref * RatScalar.from_laurent(v))
+            add_term(acc, m, pref * v)
     return acc
 
 
@@ -212,11 +211,8 @@ def congruent_mod_qL(x, y, w):
 
 
 def coords_congruent_mod_qL(ca, cb):
-    zero = RatScalar.zero()
-    for m in set(ca) | set(cb):
-        if not (ca.get(m, zero) - cb.get(m, zero)).is_in_qZq():
-            return False
-    return True
+    return all((ca.get(m, ZERO) - cb.get(m, ZERO)).is_in_qZq()
+               for m in set(ca) | set(cb))
 
 
 # -- the twisted bar involution ----------------------------------------------
@@ -227,18 +223,19 @@ def eigen_scalar(datum, mu):
     tr = sum(mu)
     half_norm = form(datum, mu, mu) // 2
     dsum = sum(k * d for k, d in zip(mu, datum.d))
-    return RatScalar.q_power(-(half_norm + dsum), -1 if tr % 2 else 1)
+    return LaurentPoly.q_power(-(half_norm + dsum), -1 if tr % 2 else 1)
 
 
 def bar_matrix(mu, w):
     """Entries r[m][n] of x -> s_mu^{-1} sigma(eta(x)) on the dual PBW
     basis of the weight space; unitriangular for rlex with unit diagonal.
+    s_mu is a signed power of q, so s_mu^{-1} is its bar.
     """
-    s_inv = RatScalar.one() / eigen_scalar(w.datum, mu)
+    s_inv = eigen_scalar(w.datum, mu).bar()
     data = data_of_weight(w, mu)
     R = {}
     for n in data:
-        col = sigma_eta_dual_coords(w, {n: RatScalar.one()})
+        col = sigma_eta_dual_coords(w, {n: ONE})
         col = {m: c * s_inv for m, c in col.items()}
         diag = col.get(n)
         if diag is None or not diag.is_one():
@@ -255,18 +252,12 @@ def bar_matrix(mu, w):
 
 
 def _solve_skew(g):
-    """The unique p in qZ[q] with p - bar(p) = g (g a bar-antisymmetric
-    Laurent polynomial with zero constant term)."""
-    if not g.is_laurent():
-        raise NoSolution("non-polynomial correction term %s" % g.render())
-    gl = g.as_laurent()
-    if (gl + gl.bar()) != LaurentPoly():
+    """The unique p in qZ[q] with p - bar(p) = g, for a Laurent g with
+    g + bar(g) = 0, which also forces a zero constant term."""
+    if g + g.bar() != ZERO:
         raise NoSolution("correction term %s is not bar-antisymmetric"
                          % g.render())
-    if gl.coeff(0) != 0:
-        raise NoSolution("constant-term obstruction in %s" % g.render())
-    return RatScalar.from_laurent(
-        LaurentPoly({e: c for e, c in gl.coeffs.items() if e > 0}))
+    return LaurentPoly({e: c for e, c in g.coeffs.items() if e > 0})
 
 
 def dual_canonical_basis(mu, w):
@@ -280,22 +271,17 @@ def dual_canonical_basis(mu, w):
 def _dual_canonical_basis(mu, w):
     data, R = bar_matrix(mu, w)
     basis = {}
-    for n in data:
-        c = {n: RatScalar.one()}
-        # fill in descending rlex below n
-        below = [m for m in data if rlex_less(m, n)]
-        for m in reversed(below):
-            g = RatScalar.zero()
+    for i, n in enumerate(data):
+        c = {n: ONE}
+        # fill in descending rlex below n (data is sorted rlex ascending)
+        for m in reversed(data[:i]):
+            row = R.get(m, {})
+            g = ZERO
             for p, cp in c.items():
-                if p != m:
-                    r = R.get(m, {}).get(p)
-                    if r is not None:
-                        g = g + r * cp.bar()
+                if p in row:
+                    g = g + row[p] * cp.bar()
             cm = _solve_skew(g)
             if not cm.is_zero():
-                if not cm.is_in_qZq():
-                    raise NoSolution("coefficient %s at %s not in qZ[q]"
-                                     % (cm.render(), render_datum(m)))
                 c[m] = cm
         basis[n] = c
     return basis
@@ -323,7 +309,7 @@ def expand_dual_canonical_coords(coords, w):
         basis = dual_canonical_basis(mu, w)
         rem = dict(cc)
         for n in reversed(data_of_weight(w, mu)):
-            b = rem.pop(n, RatScalar.zero())
+            b = rem.pop(n, ZERO)
             if b.is_zero():
                 continue
             out[n] = b

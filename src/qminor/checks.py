@@ -4,7 +4,7 @@ report with an "ok" flag.  The command-line `check` subcommand and the
 test suite both dispatch here.
 """
 
-from .scalars import RatScalar
+from .scalars import RatScalar, ONE
 from .rootdata import (CartanDatum, ReducedWord, form, longest_word,
                        weights_up_to, reduced_completion, reduced_word_for_w0)
 from .qea import WordExpr, TriExpr, pairing, canonical_form, serre_element
@@ -171,12 +171,11 @@ def check_prop31(label, height_bound, words=None):
                 for m in pbw.data_of_weight(w, mu):
                     if not canonical.demazure_flag(m, k):
                         continue
-                    em = {m: RatScalar.one()}
+                    em = {m: ONE}
                     lhs = canonical.dual_product(w, dc, em)
                     rhs = canonical.dual_product(w, em, dc)
                     ex = 2 * datum.d[i - 1] * mu[i - 1] - form(datum, nu, mu)
-                    unit = RatScalar.q_power(ex)
-                    if lhs != {d: c * unit for d, c in rhs.items()}:
+                    if lhs != {d: c.shift(ex) for d, c in rhs.items()}:
                         failures.append([list(w.word), k, list(m)])
     return _report(label, failures)
 
@@ -200,12 +199,11 @@ def check_prop32(label, height_bound, words=None):
                         failures.append([list(w.word), k, list(m), "dsum"])
                     if dnm - dmn != pbw.c_form(w, nk, m):
                         failures.append([list(w.word), k, list(m), "c"])
-                    prod = canonical.dual_product(w, dc, {m: RatScalar.one()})
-                    lhs = {d: c * RatScalar.q_power(dnm)
-                           for d, c in prod.items()}
+                    prod = canonical.dual_product(w, dc, {m: ONE})
+                    lhs = {d: c.shift(dnm) for d, c in prod.items()}
                     target = tuple(a + b for a, b in zip(nk, m))
                     if not canonical.coords_congruent_mod_qL(
-                            lhs, {target: RatScalar.one()}):
+                            lhs, {target: ONE}):
                         failures.append([list(w.word), k, list(m), "cong"])
     return _report(label, failures)
 

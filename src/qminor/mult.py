@@ -10,7 +10,6 @@ sums over canonical's per-word table of dual-PBW products E(m)* E(n)*,
 each entry straightened once in dual root vectors over Z[q, q^-1].
 """
 
-from .scalars import RatScalar
 from .rootdata import weights_up_to
 from .pbw import d_form, weight_tuple, data_of_weight, render_datum
 from .canonical import (dual_canonical_basis, expand_dual_canonical_coords,
@@ -26,19 +25,18 @@ def _dual_can_coords(w, m):
 
 def q_commute_exponent_coords(w, ca, cb):
     """The integer e with xy = q^e yx for x, y in dual-PBW coordinates,
-    or None if the products are not proportional by a q-power."""
+    or None if the products are not proportional by a q-power.  e is read
+    off the q-adic valuations of one coordinate, and holds only if
+    xy[n] = q^e yx[n] at every n."""
     xy = dual_product(w, ca, cb)
     yx = dual_product(w, cb, ca)
-    if not xy and not yx:
-        return 0
     if set(xy) != set(yx):
         return None
+    if not xy:
+        return 0
     m = next(iter(xy))
-    ratio = xy[m] / yx[m]
-    e = ratio.is_q_power()
-    if e is None:
-        return None
-    if any(not (xy[n] - yx[n] * ratio).is_zero() for n in xy):
+    e = xy[m].min_exp() - yx[m].min_exp()
+    if any(xy[n] != yx[n].shift(e) for n in xy):
         return None
     return e
 
@@ -67,8 +65,8 @@ def is_multiplicative(w, m, mp):
 def check_511(w, m, mp):
     """True iff q^{d(m,mp)} B(m)* B(mp)* = B(m+mp)* mod qL*."""
     prod = dual_product(w, _dual_can_coords(w, m), _dual_can_coords(w, mp))
-    unit = RatScalar.q_power(d_form(w, m, mp))
-    lhs = {n: v * unit for n, v in prod.items()}
+    d = d_form(w, m, mp)
+    lhs = {n: v.shift(d) for n, v in prod.items()}
     target = tuple(a + b for a, b in zip(m, mp))
     return coords_congruent_mod_qL(lhs, _dual_can_coords(w, target))
 

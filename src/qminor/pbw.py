@@ -11,8 +11,8 @@ omega (E_i <-> F_i, K_mu -> K_-mu) and scaled by a unit +-q^a, since
 T_i omega = Psi_i omega T_i for a grading scalar Psi_i (see
 f_pbw_monomial), so the braid automorphisms and the product of root
 vectors run on the E side only.  The dual PBW normalizers f_m come from
-Lusztig's product formula for (E(m), F(m)); only their units u_m are
-read off the pairing, one single-root pairing per (word, k).
+Lusztig's product formula for (E(m), F(m)), and their units u_m in
+closed form from the root units.
 """
 
 from functools import cache
@@ -312,39 +312,35 @@ def pairing_em_fn(w, m, n):
     return pairing(pbw_monomial(w, m), f_pbw_monomial(w, n))
 
 
-class NotAUnit(ArithmeticError):
-    """A single-root pairing unit u_k is not +-q^a (convention bug)."""
-
-
-@cache
-def _root_pairing_unit(w, k):
-    """u_k = 1/((E_{beta_k}, F_{beta_k}) (1 - q^{(beta_k, beta_k)})), from
-    the single-root pairing; raises NotAUnit unless it is +-q^a."""
-    e = unit_datum(len(w.word), k)
-    d = pairing_em_fn(w, e, e) * RatScalar.from_laurent(
-        ONE - LaurentPoly.q_power(_root_norm(w, k)))
-    if d.is_q_power() is None and (-d).is_q_power() is None:
-        raise NotAUnit("(E, F) (1 - q^(beta, beta)) at root %d of %s is %s"
-                       % (k, w.render(), d.render()))
-    return RatScalar.one() / d
-
-
 @cache
 def _normalizer_pair(w, m):
     """(f_m, u_m) with 1/(E(m), F(m)) = u_m f_m; m is a checked datum tuple.
 
     Lusztig's product formula (Introduction to Quantum Groups, 38.2.3)
     gives f_m = prod_k prod_{s=1..m_k} (1 - q^{s (beta_k, beta_k)}), so
-    f_m(0) = 1, and u_m = prod_k u_k^{m_k} with u_k the single-root unit.
+    f_m(0) = 1, and u_m = prod_k u_k^{m_k}, summed as ints, with u_k =
+    1/((E_beta, F_beta) (1 - q^c)) = -q^{-c - 3 a_k} for beta = beta_k,
+    c = (beta, beta) and i = i_k.  Proof: with r = q^(a_k) (_root_units)
+    and E' = T_{i_1} ... T_{i_{k-1}}(E_i), E_beta = r E' (root_vector)
+    and F_beta = (-1)^(ht beta - 1) r omega(E_beta) (f_pbw_monomial).  The
+    braid automorphisms preserve the form (x, omega(y)) on U^+ (Lusztig,
+    38.2.1; Jantzen, Lectures on Quantum Groups, 8.30) up to a sign; with
+    the signs of _braid_gen, (E', omega(E')) = (-1)^(ht beta - 1) (E_i, F_i).
+    So (E_beta, F_beta) = r^3 (E_i, F_i) = r^3 / (1 - q^-c), as the Weyl
+    group keeps c = (alpha_i, alpha_i), and (1 - q^c)/(1 - q^-c) = -q^c.
+    The tests check u_k against the pairing.
     """
     f = ONE
-    u = RatScalar.one()
+    exp = count = 0
     for k, c in enumerate(m, start=1):
         if c:
+            norm = _root_norm(w, k)
             for s in range(1, c + 1):
-                f = f * (ONE - LaurentPoly.q_power(s * _root_norm(w, k)))
-            u = u * _root_pairing_unit(w, k) ** c
-    return RatScalar.from_laurent(f), u
+                f = f * (ONE - LaurentPoly.q_power(s * norm))
+            exp -= c * (norm + 3 * _root_units(w)[k - 1][0])
+            count += c
+    return (RatScalar.from_laurent(f),
+            RatScalar.q_power(exp, -1 if count % 2 else 1))
 
 
 def dual_pbw_normalizer(w, m):

@@ -56,6 +56,17 @@ class LaurentPoly:
     def is_monomial(self):
         return len(self.coeffs) == 1
 
+    def is_q_power(self):
+        """Return k if self == q^k, else None."""
+        if len(self.coeffs) == 1:
+            (e, c), = self.coeffs.items()
+            if c == 1:
+                return e
+        return None
+
+    def is_in_qZq(self):
+        return all(e > 0 for e in self.coeffs)
+
     # -- structure ----------------------------------------------------
 
     def min_exp(self):
@@ -79,8 +90,14 @@ class LaurentPoly:
 
     # -- arithmetic ---------------------------------------------------
 
+    # A RatScalar operand gets NotImplemented, so that RatScalar's
+    # reflected + or * computes the mixed value in Q(q).
+
     def __add__(self, other):
-        other = _as_laurent(other)
+        if not isinstance(other, LaurentPoly):
+            if isinstance(other, RatScalar):
+                return NotImplemented
+            other = _as_laurent(other)
         res = dict(self.coeffs)
         for e, c in other.coeffs.items():
             res[e] = res.get(e, 0) + c
@@ -92,7 +109,7 @@ class LaurentPoly:
         return LaurentPoly._nonzero({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-_as_laurent(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return _as_laurent(other) + (-self)
@@ -101,7 +118,10 @@ class LaurentPoly:
         """The product.  A 1 operand returns the other one (values are
         never mutated, so sharing is safe); a c q^k operand shifts and
         scales it, which cannot create a zero coefficient."""
-        other = _as_laurent(other)
+        if not isinstance(other, LaurentPoly):
+            if isinstance(other, RatScalar):
+                return NotImplemented
+            other = _as_laurent(other)
         x, y = ((self, other) if len(self.coeffs) <= len(other.coeffs)
                 else (other, self))
         if len(x.coeffs) == 1:
@@ -438,11 +458,11 @@ class RatScalar:
 
     def is_q_power(self):
         """Return k if self == q^k, else None."""
-        if self.den.is_one() and self.num.is_monomial():
-            e, c = next(iter(self.num.coeffs.items()))
-            if c == 1:
-                return e
-        return None
+        return self.num.is_q_power() if self.den.is_one() else None
+
+    def min_exp(self):
+        """The q-adic valuation: that of num, as den(0) != 0."""
+        return self.num.min_exp()
 
     def is_in_qZq(self):
         """True iff self is a polynomial in q with integer coefficients

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import qminor.canonical
 
-from qminor.scalars import RatScalar
+from qminor.scalars import LaurentPoly, RatScalar
 from qminor.rootdata import (CartanDatum, ReducedWord, longest_word, form,
                              weights_up_to, all_reduced_words_for_w0)
 from qminor.qea import WordExpr, expr_equal, sigma_eta
@@ -339,6 +339,21 @@ def test_dual_canonical_basis_a2():
     assert basis[(0, 1, 0)] == {(0, 1, 0): RatScalar.one()}
     assert basis[(1, 0, 1)] == {(1, 0, 1): RatScalar.one(),
                                 (0, 1, 0): qp(1)}
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "A3"])
+def test_canonical_coordinates_are_laurent_polys(label):
+    # B*, the bar matrix, sigma_eta of B* and products of B* elements are
+    # LaurentPoly values, with no RatScalar round trip
+    for w in standard_words(CartanDatum(label)):
+        for mu in weights_up_to(w.datum, 3):
+            values = [c for row in bar_matrix(mu, w)[1].values()
+                      for c in row.values()]
+            for coords in dual_canonical_basis(mu, w).values():
+                values += coords.values()
+                values += sigma_eta_dual_coords(w, coords).values()
+                values += dual_product(w, coords, coords).values()
+            assert all(type(c) is LaurentPoly for c in values), (w.word, mu)
 
 
 def test_dual_canonical_unitriangular_qzq():

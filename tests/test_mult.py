@@ -3,9 +3,14 @@ product-verification harness."""
 
 import itertools
 
+import pytest
+
+import qminor.mult
+from qminor.scalars import LaurentPoly, RatScalar
 from qminor.rootdata import CartanDatum, ReducedWord, longest_word
 from qminor.pbw import d_form, weight_tuple
-from qminor.canonical import flag_minor_datum
+from qminor.canonical import (flag_minor_datum, dual_canonical_element,
+                              dual_pbw_expansion)
 from qminor.mult import (q_commute_exponent, q_commute_exponent_coords,
                          is_multiplicative, check_511, adapted_monomials,
                          all_data_up_to, verify_theorem_51, _dual_can_coords)
@@ -42,6 +47,51 @@ def test_q_commute_element_interface():
     b = dual_canonical_element(W_A2, flag_minor_datum(W_A2, 3))
     bp = dual_canonical_element(W_A2, (1, 0, 0))
     assert q_commute_exponent(b, bp, W_A2) == 1
+
+
+_S = RatScalar.one() / (RatScalar.one() - RatScalar.q_power(2))
+
+
+def test_q_commute_exponent_on_non_laurent_coordinates():
+    # scaled by 1/(1 - q^2), no dual-PBW coordinate is Laurent, and the
+    # exponent is read off the valuations as before
+    b = dual_canonical_element(W_A2, flag_minor_datum(W_A2, 3))
+    bp = dual_canonical_element(W_A2, (1, 0, 0))
+    bs, bps = b.scale(_S), bp.scale(_S)
+    assert not any(c.is_laurent()
+                   for c in dual_pbw_expansion(bs, W_A2).values())
+    assert q_commute_exponent(bs, bp, W_A2) == 1
+    assert q_commute_exponent(bp, bs, W_A2) == -1
+    assert q_commute_exponent(bs, bps, W_A2) == 1
+    e2 = dual_canonical_element(W_A2, (0, 0, 1))
+    assert q_commute_exponent(bps, e2.scale(_S), W_A2) is None
+
+
+def _lq(k, c=1):
+    return LaurentPoly.q_power(k, c)
+
+
+_M, _N = (0, 1, 0), (1, 0, 1)
+
+
+@pytest.mark.parametrize("xy, yx, expected", [
+    # -q^3: the valuations say 3, the shift check says no
+    ({_M: _lq(3, -1)}, {_M: _lq(0)}, None),
+    ({_M: _S * _lq(3, -1)}, {_M: _S}, None),
+    # 1 + q against 1: equal valuations, not a q-power
+    ({_M: _lq(0) + _lq(1)}, {_M: _lq(0)}, None),
+    # q^2 at the first coordinate, q at the second
+    ({_M: _lq(2), _N: _lq(2)}, {_M: _lq(0), _N: _lq(1)}, None),
+    ({_M: _S * _lq(2), _N: _lq(3)}, {_M: _S, _N: _lq(1)}, 2),
+    ({_M: _lq(-1)}, {}, None),
+    ({}, {}, 0),
+])
+def test_q_commute_exponent_checks_the_shift_everywhere(monkeypatch, xy, yx,
+                                                        expected):
+    products = iter([xy, yx])
+    monkeypatch.setattr(qminor.mult, "dual_product",
+                        lambda w, ca, cb: next(products))
+    assert q_commute_exponent_coords(W_A2, {}, {}) == expected
 
 
 def test_multiplicative_unit():

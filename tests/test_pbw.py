@@ -19,10 +19,10 @@ from qminor.pbw import (braid_T, root_vector, pbw_monomial,
                         d_form, c_form, rlex_less, unit_datum,
                         straighten_commutator, ext_order, pbw_product,
                         weight_tuple, render_datum,
-                        _normalizer_pair, _root_pairing_unit, _root_table,
+                        _normalizer_pair, _root_table,
                         _root_norm, _root_units, _root_tri,
                         _root_word,
-                        NotAUnit, StraighteningError)
+                        StraighteningError)
 from qminor.checks import standard_words, weights_up_to
 from qminor.quiver import adapted_word, all_orientations
 
@@ -412,15 +412,18 @@ def test_normalizer_pair_at_scan_weights(label, height):
                                       height)
 
 
-def test_root_pairing_unit_must_be_a_unit(monkeypatch):
-    monkeypatch.setattr(qminor.pbw, "pairing_em_fn",
-                        lambda w, m, n: RatScalar.q_power(0, 2))
-    _root_pairing_unit.cache_clear()
-    try:
-        with pytest.raises(NotAUnit):
-            _root_pairing_unit(W_A2, 1)
-    finally:
-        _root_pairing_unit.cache_clear()
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "A3"])
+def test_root_units_match_single_root_pairing(label):
+    # the closed form u_k = -q^(-(beta_k, beta_k) - 3 a_k) against
+    # 1/((E_beta_k, F_beta_k) (1 - q^(beta_k, beta_k))) from the pairing,
+    # on every reduced word
+    for w in all_reduced_words_for_w0(CartanDatum(label)):
+        N = len(w.word)
+        for k in range(1, N + 1):
+            e = unit_datum(N, k)
+            d = pairing_em_fn(w, e, e) * (ONE - qp(_root_norm(w, k)))
+            assert _normalizer_pair(w, e)[1] == RatScalar.one() / d, \
+                (w.word, k)
 
 
 # -- bilinear forms on data ----------------------------------------------------

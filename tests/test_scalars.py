@@ -372,6 +372,46 @@ def test_laurent_rat_mul_add_match_general_construction(a, b):
         assert 0 not in got.num.coeffs.values()
 
 
+# -- Laurent predicates and mixed operands --------------------------------------
+
+_pred_operand = (_mul_operand
+                 | st.builds(q, st.integers(-3, 3),
+                             st.sampled_from([1, -1, 2]))
+                 | st.dictionaries(st.integers(0, 4), st.integers(-3, 3),
+                                   max_size=4).map(LaurentPoly))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pred_operand)
+def test_laurent_predicates_match_rat_predicates(p):
+    r = RatScalar.from_laurent(p)
+    assert p.is_q_power() == r.is_q_power()
+    assert p.is_in_qZq() == r.is_in_qZq()
+
+
+@settings(deadline=None)
+@given(_rat())
+def test_rat_min_exp_is_the_valuation(a):
+    if a.is_zero():
+        with pytest.raises(ValueError):
+            a.min_exp()
+        return
+    v = a.min_exp()
+    assert v == a.num.min_exp()
+    # q^-v a is finite and nonzero at q = 0
+    assert a.shift(-v).eval_at_zero() != 0
+
+
+@settings(deadline=None)
+@given(_mul_operand, _rat())
+def test_mixed_laurent_rat_ops_resolve_in_rat(p, a):
+    r = RatScalar.from_laurent(p)
+    for got, want in ((p + a, r + a), (a + p, a + r), (p - a, r - a),
+                      (a - p, a - r), (p * a, r * a), (a * p, a * r)):
+        assert isinstance(got, RatScalar)
+        assert got == want
+
+
 # -- sparse accumulation ----------------------------------------------------------
 
 def _oracle_add_term(acc, key, c):
