@@ -16,7 +16,7 @@ from .qea import WordExpr
 from .pbw import (pbw_monomial, dual_pbw_normalizer, data_of_weight,
                   check_datum, weight_tuple, render_datum,
                   rlex_less, pbw_coordinates, straighten_commutator,
-                  _letters_of_datum, _datum_of_letters, _root_table)
+                  _letters_of_datum, _root_table)
 
 
 class NotUnitriangular(ArithmeticError):
@@ -57,11 +57,12 @@ def from_dual_pbw(w, coords):
 #
 # Dual-PBW coordinate dicts {datum: LaurentPoly} support exact products and
 # sigma_eta with no pairing evaluation at the (possibly large) product
-# weight.  Both straighten words in the dual root vectors E*_k over
-# Z[q, q^-1] (the dual PBW basis spans an integral form): a product reads
-# a per-word table of E(m)* E(n)*, and sigma_eta(E(n)*) is a signed
-# q-power times the reversed letters of n.  So both are sums of
-# denominator-free multiply-adds; a RatScalar coordinate makes them RatScalar.
+# weight.  Both push dual root vectors E*_k into a coordinate dict over
+# Z[q, q^-1] (an integral form), one at a time, through a per-word table
+# of E*_l E(m)*: a product pushes the letters of each E(m)*, and
+# sigma_eta(E(n)*) is a signed q-power times the reversed letters of n.
+# Both are sums of denominator-free multiply-adds; a RatScalar
+# coordinate makes them RatScalar.
 
 def dual_to_pbw_coords(w, coords):
     """E(m)* = f_m E(m): convert {E(m)*}-coordinates to {E(m)}-coordinates."""
@@ -79,7 +80,16 @@ class NonLaurentStraightening(ArithmeticError):
 
 def _letter_exponent(w, m):
     """e(m) = sum_k d_k m_k (m_k - 1)/2 with d_k = (beta_k, beta_k)/2, so
-    that E(m)* = q^e(m) E*_1^m_1 ... E*_N^m_N."""
+    that E(m)* = q^e(m) E*_1^m_1 ... E*_N^m_N, where E*_k = (1 - q^(beta_k,
+    beta_k)) E_{beta_k} = E(e_k)*.
+
+    Proof, from Lusztig's product formula f_m = prod_k prod_{s=1..m_k}
+    (1 - q^{2 s d_k}): E_{beta_k}^c = [c]_{d_k}! E_{beta_k}^(c), and
+    q^{ds} - q^{-ds} = -q^{-ds} (1 - q^{2ds}) gives (1 - q^{2d}) [s]_d =
+    q^{d(1-s)} (1 - q^{2ds}), so E*_k^c = q^{-d_k c(c-1)/2} prod_{s=1..c}
+    (1 - q^{2 s d_k}) E_{beta_k}^(c); in word order these multiply to
+    q^-e(m) f_m E(m) = q^-e(m) E(m)*.
+    """
     gram = _root_table(w)[1]
     return sum(gram[k][k] // 2 * c * (c - 1) // 2 for k, c in enumerate(m))
 
@@ -108,63 +118,54 @@ def _dual_commutator(w, k, kp):
 
 
 @cache
-def _straighten_dual_letters(w, letters):
-    """Dual-PBW coordinates {datum: LaurentPoly} of E*_{l_1} ... E*_{l_r}
-    for any sequence of root indices, where E*_k = (1 - q^(beta_k,
-    beta_k)) E_{beta_k} = E(e_k)*.
+def _letter_times_datum(w, l, m):
+    """T(l, m) = E*_l E(m)* in dual-PBW coordinates {datum: LaurentPoly}.
 
-    Both facts used come from Lusztig's product formula
-    f_m = prod_k prod_{s=1..m_k} (1 - q^{2 s d_k}), d_k = (beta_k, beta_k)/2.
-    Base case, E(m)* = q^e(m) E*_1^m_1 ... E*_N^m_N (_letter_exponent):
-    E_{beta_k}^c = [c]_{d_k}! E_{beta_k}^(c), and q^{ds} - q^{-ds} =
-    -q^{-ds} (1 - q^{2ds}) gives (1 - q^{2d}) [s]_d = q^{d(1-s)}
-    (1 - q^{2ds}), so E*_k^c = q^{-d_k c(c-1)/2} prod_{s=1..c}
-    (1 - q^{2 s d_k}) E_{beta_k}^(c); in word order these multiply to
-    q^-e(m) f_m E(m) = q^-e(m) E(m)*.  Swap law, for k < k':
-    E*_k' E*_k = q^-(beta_k, beta_k') (E*_k E*_k' - sum_m S*[m] E(m)*)
-    (_dual_commutator), and each E(m)* is again q^e(m) times sorted
-    letters.  Each step removes an adjacent inversion or replaces a pair
-    by strictly intermediate letters, so the recursion ends, and with
-    S* Laurent every coefficient stays in Z[q, q^-1].
+    Let x be the first letter of m.  If m = 0 or l <= x, E*_l E(m)* is
+    q^e(m) times the sorted letters of m + e_l, so q^-(d_l m_l) E(m + e_l)*
+    (_letter_exponent).  Otherwise, with r = m - e_x, E(m)* =
+    q^(d_x (m_x - 1)) E*_x E(r)*, and the swap law of _dual_commutator
+    gives T(l, m) = q^(d_x (m_x - 1) - (beta_x, beta_l)) (E*_x T(l, r)
+    - sum_s S*[s] E(s)* E(r)*).  The letters of s lie strictly between x
+    and l, so (l, |m|) falls lexicographically and the recursion ends;
+    with S* Laurent, every coefficient stays in Z[q, q^-1].
     """
-    pos = next((i for i in range(len(letters) - 1)
-                if letters[i] > letters[i + 1]), None)
-    if pos is None:
-        m = _datum_of_letters(len(w.word), letters)
-        return {m: LaurentPoly.q_power(-_letter_exponent(w, m))}
-    x, y = letters[pos], letters[pos + 1]
-    pre, suf = letters[:pos], letters[pos + 2:]
-    b = _root_table(w)[1][x - 1][y - 1]
-    acc = {}
-    for d, c in _straighten_dual_letters(w, pre + (y, x) + suf).items():
-        add_term(acc, d, c.shift(-b))
-    for sm, sc in _dual_commutator(w, y, x).items():
-        corr = sc.shift(_letter_exponent(w, sm) - b)
-        sub = pre + _letters_of_datum(sm) + suf
-        for d, c in _straighten_dual_letters(w, sub).items():
-            add_term(acc, d, -(corr * c))
-    return acc
+    gram = _root_table(w)[1]
+    x = next((k for k, c in enumerate(m, start=1) if c), l)
+    if l <= x:
+        n = m[:l - 1] + (m[l - 1] + 1,) + m[l:]
+        return {n: LaurentPoly.q_power(-(gram[l - 1][l - 1] // 2)
+                                       * m[l - 1])}
+    r = m[:x - 1] + (m[x - 1] - 1,) + m[x:]
+    acc = _push_letters(w, (x,), _letter_times_datum(w, l, r))
+    for s, c in _dual_commutator(w, x, l).items():
+        sr = {r: -c.shift(_letter_exponent(w, s))}
+        for d, v in _push_letters(w, _letters_of_datum(s), sr).items():
+            add_term(acc, d, v)
+    e = gram[x - 1][x - 1] // 2 * (m[x - 1] - 1) - gram[x - 1][l - 1]
+    return {d: c.shift(e) for d, c in acc.items()}
 
 
-@cache
-def _dual_unit_product(w, m, n):
-    """E(m)* E(n)* in dual-PBW coordinates: q^(e(m) + e(n)) times the
-    straightened letters of m followed by those of n."""
-    e = _letter_exponent(w, m) + _letter_exponent(w, n)
-    letters = _letters_of_datum(m) + _letters_of_datum(n)
-    return {d: c.shift(e)
-            for d, c in _straighten_dual_letters(w, letters).items()}
+def _push_letters(w, letters, coords):
+    """E*_{l_1} ... E*_{l_r} x for x in dual-PBW coordinates: the letters
+    enter x one at a time through _letter_times_datum, the last first."""
+    for l in reversed(letters):
+        out = {}
+        for d, c in coords.items():
+            for t, v in _letter_times_datum(w, l, d).items():
+                add_term(out, t, c * v)
+        coords = out
+    return coords
 
 
 def dual_product(w, ca, cb):
-    """Product of two elements given in dual-PBW coordinates: the
-    bilinear sum of the table entries E(m)* E(n)*."""
+    """Product of two elements given in dual-PBW coordinates: the letters
+    of each E(m)* of ca pushed into the whole of cb, times q^e(m)."""
     out = {}
     for m, cm in ca.items():
-        for n, cn in cb.items():
-            pref = cm * cn
-            for d, c in _dual_unit_product(w, m, n).items():
-                add_term(out, d, pref * c)
+        pref = cm.shift(_letter_exponent(w, m))
+        for d, c in _push_letters(w, _letters_of_datum(m), cb).items():
+            add_term(out, d, pref * c)
     return out
 
 
@@ -186,16 +187,15 @@ def sigma_eta_dual_coords(w, coords):
     sigma_eta(E(n)*) = q^-e(n) prod_k s_{beta_k}^{n_k} E*_N^{n_N} ...
     E*_1^{n_1}, the reversed letters of n.  Proof: (1) B(e_k)* = E*_k
     (Prop 2.1), so the twisted bar fixes E*_k and sigma_eta(E*_k) =
-    s_{beta_k} E*_k; (2) E(n)* = q^e(n) E*_1^{n_1} ... E*_N^{n_N} (base
-    case of _straighten_dual_letters); (3) sigma_eta is a bar-linear
-    antiautomorphism, so it turns q^e(n) into q^-e(n) and reverses the
-    letters, each rescaled by (1)."""
+    s_{beta_k} E*_k; (2) E(n)* = q^e(n) E*_1^{n_1} ... E*_N^{n_N}
+    (_letter_exponent); (3) sigma_eta is a bar-linear antiautomorphism,
+    so it turns q^e(n) into q^-e(n) and reverses the letters, each
+    rescaled by (1)."""
     acc = {}
     for n, c in coords.items():
-        pref = c.bar() * _sigma_eta_unit(w, n)
-        letters = _letters_of_datum(n)[::-1]
-        for m, v in _straighten_dual_letters(w, letters).items():
-            add_term(acc, m, pref * v)
+        col = {(0,) * len(n): c.bar() * _sigma_eta_unit(w, n)}
+        for m, v in _push_letters(w, _letters_of_datum(n)[::-1], col).items():
+            add_term(acc, m, v)
     return acc
 
 

@@ -5,9 +5,9 @@ Two basis elements b, b' q-commute when bb' = q^e b'b exactly; they are
 multiplicative when q^n bb' is again a basis element.  The harness scans
 all q-commuting pairs (monomial in flag minors) x (basis element) up to a
 height bound and verifies single-term expansion and the lattice congruence
-q^{d(m,m')} B(m)* B(m')* = B(m+m')* mod qL*.  All products are bilinear
-sums over canonical's per-word table of dual-PBW products E(m)* E(n)*,
-each entry straightened once in dual root vectors over Z[q, q^-1].
+q^{d(m,m')} B(m)* B(m')* = B(m+m')* mod qL*.  Every product pushes
+dual root vectors into dual-PBW coordinates over Z[q, q^-1], one letter
+at a time, through canonical's per-word table of E*_l E(m)*.
 """
 
 from .rootdata import weights_up_to

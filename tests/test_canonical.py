@@ -29,6 +29,7 @@ from qminor.canonical import (dual_pbw_element, dual_pbw_expansion,
 from qminor.checks import standard_words
 
 from sigma_eta_oracle import pbw_route_sigma_eta_dual_coords
+from dual_letters_oracle import oracle_unit_product, oracle_sigma_eta_column
 from weight_oracle import frac_minor_weight
 from qminor.quiver import adapted_word, all_orientations
 
@@ -70,7 +71,7 @@ def test_dual_product_matches_elements():
     assert prod == dual_pbw_expansion(elt, W_A2)
 
 
-# -- products through the table of E(m)* E(n)* ---------------------------------
+# -- products through the table of E*_l E(m)* ----------------------------------
 
 def _oracle_dual_product(w, ca, cb):
     """The product without the table: convert both factors to PBW
@@ -103,7 +104,7 @@ def _canonical_coords(w, m):
 
 @pytest.mark.parametrize("label", sorted(PRODUCT_HEIGHTS))
 def test_dual_product_matches_oracle(label):
-    # On E(m)* x E(n)* (each table entry) and on B(m)* x B(n)*, whose
+    # On E(m)* x E(n)* (unit coordinates) and on B(m)* x B(n)*, whose
     # coordinates are not all 1, for every standard and adapted word.
     one = RatScalar.one()
     for w in _standard_and_adapted_words(CartanDatum(label)):
@@ -120,7 +121,7 @@ def test_dual_product_matches_oracle(label):
 @pytest.mark.parametrize("label", sorted(PRODUCT_HEIGHTS))
 def test_dual_unit_products_are_laurent(label):
     # Every product E(m)* E(n)* has Laurent coordinates, as the dual PBW
-    # basis spans a Z[q, q^-1]-form.  The table is straightened over
+    # basis spans a Z[q, q^-1]-form.  The letter table works over
     # Z[q, q^-1], so it is Laurent by construction; the products are
     # taken by the Q(q) route instead, where a coordinate can leave it.
     one = RatScalar.one()
@@ -330,6 +331,26 @@ def test_sigma_eta_matches_pbw_route(label):
                 coords = _canonical_coords(w, n)
                 assert sigma_eta_dual_coords(w, coords) == \
                     pbw_route_sigma_eta_dual_coords(w, coords), (w, n)
+
+
+LETTER_TABLE_HEIGHTS = {"A2": 3, "B2": 3, "A3": 3, "A4": 2, "D4": 2}
+
+
+@pytest.mark.parametrize("label", sorted(LETTER_TABLE_HEIGHTS))
+def test_letter_table_matches_letter_straightening(label):
+    # Products E(m)* E(n)* of total height <= H and the sigma_eta columns
+    # of height <= H, pushed through the letter-times-datum table, against
+    # the letter-sequence straightening of tests/dual_letters_oracle.py, on
+    # every reduced word of A2, B2 and A3 and the adapted words of A4 and D4
+    one = LaurentPoly.from_int(1)
+    height = LETTER_TABLE_HEIGHTS[label]
+    for w in _every_or_adapted_word(CartanDatum(label)):
+        for m, n in _data_pairs(w, height):
+            assert dual_product(w, {m: one}, {n: one}) == \
+                oracle_unit_product(w, m, n), (w.word, m, n)
+            if not any(m):
+                assert sigma_eta_dual_coords(w, {n: one}) == \
+                    oracle_sigma_eta_column(w, n), (w.word, n)
 
 
 # -- the dual canonical basis --------------------------------------------------
