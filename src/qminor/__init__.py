@@ -9,11 +9,10 @@ from .pbw import (braid_T, root_vector, pbw_monomial, pbw_coordinates,
                   dual_pbw_normalizer, d_form, c_form, rlex_less, ext_order,
                   straighten_commutator, pbw_product)
 from .canonical import (dual_pbw_element, dual_canonical_basis,
-                        dual_canonical_element, expand_dual_canonical,
-                        flag_minor, in_q_lattice, congruent_mod_qL)
+                        dual_canonical_element, flag_minor)
 from .quiver import (Orientation, parse_orientation, all_orientations,
                      adapted_word, reflect_at_sink, tau, hom_dim, ext_dim)
-from .mult import (q_commute_exponent, is_multiplicative, check_511,
-                   adapted_monomials, verify_theorem_51)
+from .mult import (is_multiplicative, check_511, adapted_monomials,
+                   verify_theorem_51)
 
 __version__ = "0.1.0"

@@ -59,10 +59,12 @@ def from_dual_pbw(w, coords):
 # sigma_eta with no pairing evaluation at the (possibly large) product
 # weight.  Both push dual root vectors E*_k into a coordinate dict over
 # Z[q, q^-1] (an integral form), one at a time, through a per-word table
-# of E*_l E(m)*: a product pushes the letters of each E(m)*, and
-# sigma_eta(E(n)*) is a signed q-power times the reversed letters of n.
-# Both are sums of denominator-free multiply-adds; a RatScalar
-# coordinate makes them RatScalar.
+# of E*_l E(m)* that reads the straightening law of pbw's
+# straighten_commutator, already in these coordinates: a product pushes
+# the letters of each E(m)*, and sigma_eta(E(n)*) is a signed q-power
+# times the reversed letters of n.  Both are sums of denominator-free
+# multiply-adds; a RatScalar coordinate makes them RatScalar.  The PBW
+# coordinates of pbw_product are this product through f_m and back.
 
 def dual_to_pbw_coords(w, coords):
     """E(m)* = f_m E(m): convert {E(m)*}-coordinates to {E(m)}-coordinates."""
@@ -71,11 +73,6 @@ def dual_to_pbw_coords(w, coords):
 
 def pbw_to_dual_coords(w, coords):
     return {m: c / dual_pbw_normalizer(w, m) for m, c in coords.items()}
-
-
-class NonLaurentStraightening(ArithmeticError):
-    """A dual straightening coefficient S* is not a Laurent polynomial
-    (convention bug)."""
 
 
 def _letter_exponent(w, m):
@@ -95,36 +92,13 @@ def _letter_exponent(w, m):
 
 
 @cache
-def _dual_commutator(w, k, kp):
-    """S* for k < k': E*_k' E*_k = q^-(beta_k, beta_k') (E*_k E*_k'
-    - sum_m S*[m] E(m)*), as {datum: LaurentPoly}.
-
-    With E*_k = f_{e_k} E_{beta_k}, scaling straighten_commutator's law
-    by f_{e_k} f_{e_k'} = f_{e_k + e_k'} gives S*[m] = f_{e_k + e_k'} S[m]
-    / f_m.  Raises NonLaurentStraightening if a coefficient is not in
-    Z[q, q^-1].
-    """
-    lead = tuple(int(t in (k - 1, kp - 1)) for t in range(len(w.word)))
-    f = dual_pbw_normalizer(w, lead)
-    out = {}
-    for m, c in straighten_commutator(w, k, kp).items():
-        c = f * c / dual_pbw_normalizer(w, m)
-        if not c.is_laurent():
-            raise NonLaurentStraightening(
-                "S* of E*_%d E*_%d on %s has %s at %s"
-                % (kp, k, w.render(), c.render(), render_datum(m)))
-        out[m] = c.as_laurent()
-    return out
-
-
-@cache
 def _letter_times_datum(w, l, m):
     """T(l, m) = E*_l E(m)* in dual-PBW coordinates {datum: LaurentPoly}.
 
     Let x be the first letter of m.  If m = 0 or l <= x, E*_l E(m)* is
     q^e(m) times the sorted letters of m + e_l, so q^-(d_l m_l) E(m + e_l)*
     (_letter_exponent).  Otherwise, with r = m - e_x, E(m)* =
-    q^(d_x (m_x - 1)) E*_x E(r)*, and the swap law of _dual_commutator
+    q^(d_x (m_x - 1)) E*_x E(r)*, and the swap law of straighten_commutator
     gives T(l, m) = q^(d_x (m_x - 1) - (beta_x, beta_l)) (E*_x T(l, r)
     - sum_s S*[s] E(s)* E(r)*).  The letters of s lie strictly between x
     and l, so (l, |m|) falls lexicographically and the recursion ends;
@@ -138,7 +112,7 @@ def _letter_times_datum(w, l, m):
                                        * m[l - 1])}
     r = m[:x - 1] + (m[x - 1] - 1,) + m[x:]
     acc = _push_letters(w, (x,), _letter_times_datum(w, l, r))
-    for s, c in _dual_commutator(w, x, l).items():
+    for s, c in straighten_commutator(w, x, l).items():
         sr = {r: -c.shift(_letter_exponent(w, s))}
         for d, v in _push_letters(w, _letters_of_datum(s), sr).items():
             add_term(acc, d, v)
@@ -201,16 +175,9 @@ def sigma_eta_dual_coords(w, coords):
 
 # -- the lattice L* ---------------------------------------------------------
 
-def in_q_lattice(x, w):
-    """True iff x lies in qL*: every dual-PBW coordinate is in qZ[q]."""
-    return all(c.is_in_qZq() for c in dual_pbw_expansion(x, w).values())
-
-
-def congruent_mod_qL(x, y, w):
-    return in_q_lattice(x - y, w)
-
-
 def coords_congruent_mod_qL(ca, cb):
+    """True iff ca - cb lies in qL*: every dual-PBW coordinate of the
+    difference is in qZ[q]."""
     return all((ca.get(m, ZERO) - cb.get(m, ZERO)).is_in_qZq()
                for m in set(ca) | set(cb))
 
@@ -293,14 +260,9 @@ def dual_canonical_element(w, n):
     return from_dual_pbw(w, dual_canonical_basis(weight_tuple(w, n), w)[n])
 
 
-def expand_dual_canonical(x, w):
-    """Coordinates of x in {B(m)*}: invert the unitriangular change of
-    basis per weight component."""
-    return expand_dual_canonical_coords(dual_pbw_expansion(x, w), w)
-
-
 def expand_dual_canonical_coords(coords, w):
-    """The same inversion, starting from dual-PBW coordinates."""
+    """Coordinates in {B(m)*} of an element given in dual-PBW coordinates:
+    invert the unitriangular change of basis per weight component."""
     out = {}
     by_weight = {}
     for m, c in coords.items():

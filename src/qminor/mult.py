@@ -14,7 +14,7 @@ from .rootdata import weights_up_to
 from .pbw import d_form, weight_tuple, data_of_weight, render_datum
 from .canonical import (dual_canonical_basis, expand_dual_canonical_coords,
                         dual_product, coords_congruent_mod_qL,
-                        flag_minor_datum, dual_pbw_expansion)
+                        flag_minor_datum)
 from .quiver import adapted_word
 
 
@@ -39,12 +39,6 @@ def q_commute_exponent_coords(w, ca, cb):
     if any(xy[n] != yx[n].shift(e) for n in xy):
         return None
     return e
-
-
-def q_commute_exponent(b, bp, w):
-    """The exponent for two UPlusExprs (homogeneous), via PBW coordinates."""
-    return q_commute_exponent_coords(w, dual_pbw_expansion(b, w),
-                                     dual_pbw_expansion(bp, w))
 
 
 def is_multiplicative(w, m, mp):

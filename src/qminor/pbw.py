@@ -12,13 +12,14 @@ T_i omega = Psi_i omega T_i for a grading scalar Psi_i (see
 f_pbw_monomial), so the braid automorphisms and the product of root
 vectors run on the E side only.  The dual PBW normalizers f_m come from
 Lusztig's product formula for (E(m), F(m)), and their units u_m in
-closed form from the root units.
+closed form from the root units.  The straightening law of two dual
+root vectors E*_k = E(e_k)* is paired out once per pair, in dual-PBW
+coordinates over Z[q, q^-1]; canonical builds every product on it.
 """
 
 from functools import cache
 
-from .scalars import (LaurentPoly, RatScalar, ONE, add_term,
-                      quantum_factorial)
+from .scalars import LaurentPoly, RatScalar, ONE, quantum_factorial
 from .rootdata import form, reflect
 from .qea import WordExpr, TriExpr, tri_mul, pairing
 
@@ -358,6 +359,11 @@ def _pbw_coordinate(x, w, m):
     return pairing(x, f_pbw_monomial(w, m)) * f * u
 
 
+def _dual_coordinate(x, w, m):
+    """c_m / f_m = (x, F(m)) u_m, the coordinate of x on E(m)* = f_m E(m)."""
+    return pairing(x, f_pbw_monomial(w, m)) * _normalizer_pair(w, m)[1]
+
+
 def pbw_coordinates(x, w):
     """The expansion x = sum c_m E(m) via c_m = (x, F(m))/(E(m), F(m)),
     as a dict {datum: RatScalar} of the nonzero coordinates."""
@@ -417,19 +423,29 @@ class StraighteningError(ArithmeticError):
     the leading coefficient that the straightening law requires."""
 
 
+class NonLaurentStraightening(ArithmeticError):
+    """A dual straightening coefficient S* is not a Laurent polynomial
+    (convention bug)."""
+
+
 @cache
 def straighten_commutator(w, k, kp):
-    """The lower-order part S of the straightening of E_{beta_k} E_{beta_k'}
-    against its reversal (k < k'), as a PBW coordinate dict:
-    E_{beta_k'} E_{beta_k} = q^{-(beta_k, beta_k')} (E_{beta_k} E_{beta_k'}
-    - sum_m S[m] E(m)).
+    """The lower-order part S* of the straightening law of the dual root
+    vectors E*_k = E(e_k)* = f_{e_k} E_{beta_k} (k < k'), as
+    {datum: LaurentPoly}:
+    E*_k' E*_k = q^{-(beta_k, beta_k')} (E*_k E*_k' - sum_m S*[m] E(m)*).
 
-    E_{beta_k} E_{beta_k'} is the PBW monomial E(e_k + e_k'), so only the
-    reversed product is paired.  Its coefficient on e_k + e_k' must be
-    q^{-(beta_k, beta_k')}, else StraighteningError.  By the convexity of
-    Levendorskii-Soibelman (Comm. Math. Phys. 139, 1991) the rest of its
-    support lies strictly between k and k', so it is paired only against
-    e_k + e_k' and the data of that weight supported inside (k, k').
+    With lead = e_k + e_k', E*_k E*_k' = f_lead E(lead), so only the
+    reversed product x = E_{beta_k'} E_{beta_k} is paired.  Its PBW
+    coefficient on lead must be q^{-(beta_k, beta_k')}, else
+    StraighteningError.  By the convexity of Levendorskii-Soibelman
+    (Comm. Math. Phys. 139, 1991) the rest of its support lies strictly
+    between k and k', so it is paired only against lead and the data of
+    that weight supported inside (k, k').  Scaling x = sum_m c_m E(m) by
+    f_lead turns each E(m) into E(m)*/f_m, and c_m = (x, F(m)) f_m u_m,
+    so f_m cancels: S*[m] = -q^{(beta_k, beta_k')} f_lead (x, F(m)) u_m
+    (_dual_coordinate).  Raises NonLaurentStraightening if a coefficient
+    is not in Z[q, q^-1].
     """
     if not 1 <= k < kp <= len(w.word):
         raise ValueError("need 1 <= k < k' <= N, got (%d, %d)" % (k, kp))
@@ -442,17 +458,21 @@ def straighten_commutator(w, k, kp):
         raise StraighteningError(
             "coefficient of %s in E_%d E_%d of %s is %s, not q^%d"
             % (render_datum(lead), kp, k, w.render(), lead_b.render(), -b))
-    scale = RatScalar.q_power(b, -1)
+    scale = _normalizer_pair(w, lead)[0] * RatScalar.q_power(b, -1)
     out = {}
     for m in _data_of_weight(w, weight_tuple(w, lead)):
         if not any(m[:k]) and not any(m[kp - 1:]):
-            c = _pbw_coordinate(x, w, m)
+            c = scale * _dual_coordinate(x, w, m)
+            if not c.is_laurent():
+                raise NonLaurentStraightening(
+                    "S* of E*_%d E*_%d on %s has %s at %s"
+                    % (kp, k, w.render(), c.render(), render_datum(m)))
             if not c.is_zero():
-                out[m] = scale * c
+                out[m] = c.as_laurent()
     return out
 
 
-# -- products in PBW coordinates ----------------------------------------------
+# -- dual letters, and products in PBW coordinates --------------------------
 
 def _letters_of_datum(m):
     """Expand a Lusztig datum to the ascending sequence of its root indices."""
@@ -462,64 +482,14 @@ def _letters_of_datum(m):
     return tuple(letters)
 
 
-def _datum_of_letters(N, letters):
-    m = [0] * N
-    for k in letters:
-        m[k - 1] += 1
-    return tuple(m)
-
-
-def _letter_factorial(w, m):
-    """prod_k [m_k]_{q_{beta_k}}! relating E(m) to the plain letter product:
-    (letter product) = (this scalar) * E(m)."""
-    out = RatScalar.one()
-    for k, c in enumerate(m, start=1):
-        if c > 1:
-            out = out * RatScalar.from_laurent(
-                quantum_factorial(c, _root_norm(w, k)))
-    return out
-
-
-@cache
-def _straighten_letters(w, letters):
-    """PBW coordinates of E_{beta_{l_1}} ... E_{beta_{l_r}} for an arbitrary
-    sequence of root indices, by repeated application of the straightening
-    law E_{beta_{k'}}E_{beta_k} = q^{-<beta_{k'},beta_k>}(E_{beta_k}E_{beta_{k'}}
-    - lower-order terms), k < k'.  Terminates since each step either removes
-    an adjacent inversion or replaces a pair by strictly intermediate letters.
-    """
-    pos = next((i for i in range(len(letters) - 1)
-                if letters[i] > letters[i + 1]), None)
-    if pos is None:
-        m = _datum_of_letters(len(w.word), letters)
-        return {m: _letter_factorial(w, m)}
-    x, y = letters[pos], letters[pos + 1]
-    pre, suf = letters[:pos], letters[pos + 2:]
-    unit = RatScalar.q_power(-_root_table(w)[1][x - 1][y - 1])
-    acc = {}
-    for d, c in _straighten_letters(w, pre + (y, x) + suf).items():
-        add_term(acc, d, unit * c)
-    for sm, sc in straighten_commutator(w, y, x).items():
-        corr = unit * sc / _letter_factorial(w, sm)
-        sub = pre + _letters_of_datum(sm) + suf
-        for d, c in _straighten_letters(w, sub).items():
-            add_term(acc, d, -(corr * c))
-    return acc
-
-
 def pbw_product(w, ca, cb):
     """The product of two elements given by PBW coordinate dicts, again as
-    a PBW coordinate dict; computed by straightening, with no pairing
-    evaluation at the product weight."""
-    out = {}
-    for m, cm in ca.items():
-        lm = _letters_of_datum(m)
-        fm = _letter_factorial(w, m)
-        for n, cn in cb.items():
-            pref = (cm * cn) / (fm * _letter_factorial(w, n))
-            for d, c in _straighten_letters(w, lm + _letters_of_datum(n)).items():
-                add_term(out, d, pref * c)
-    return out
+    a PBW coordinate dict: canonical's dual-PBW product, through f_m and
+    back, with no pairing evaluation at the product weight."""
+    # canonical builds on pbw, so it is imported here, not at module level
+    from .canonical import dual_product, dual_to_pbw_coords, pbw_to_dual_coords
+    return dual_to_pbw_coords(w, dual_product(
+        w, pbw_to_dual_coords(w, ca), pbw_to_dual_coords(w, cb)))
 
 
 @cache

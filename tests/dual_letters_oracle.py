@@ -11,10 +11,11 @@ column is _sigma_eta_unit times the reversed letters of n.
 
 from functools import cache
 
-from qminor.canonical import (_dual_commutator, _letter_exponent,
-                              _sigma_eta_unit)
-from qminor.pbw import _datum_of_letters, _letters_of_datum, _root_table
+from qminor.canonical import _letter_exponent, _sigma_eta_unit
+from qminor.pbw import _letters_of_datum, _root_table, straighten_commutator
 from qminor.scalars import LaurentPoly, add_term
+
+from pbw_letters_oracle import _datum_of_letters
 
 
 @cache
@@ -32,7 +33,7 @@ def _straighten_dual_letters(w, letters):
     (1 - q^{2 s d_k}) E_{beta_k}^(c); in word order these multiply to
     q^-e(m) f_m E(m) = q^-e(m) E(m)*.  Swap law, for k < k':
     E*_k' E*_k = q^-(beta_k, beta_k') (E*_k E*_k' - sum_m S*[m] E(m)*)
-    (_dual_commutator), and each E(m)* is again q^e(m) times sorted
+    (straighten_commutator), and each E(m)* is again q^e(m) times sorted
     letters.  Each step removes an adjacent inversion or replaces a pair
     by strictly intermediate letters, so the recursion ends, and with
     S* Laurent every coefficient stays in Z[q, q^-1].
@@ -48,7 +49,7 @@ def _straighten_dual_letters(w, letters):
     acc = {}
     for d, c in _straighten_dual_letters(w, pre + (y, x) + suf).items():
         add_term(acc, d, c.shift(-b))
-    for sm, sc in _dual_commutator(w, y, x).items():
+    for sm, sc in straighten_commutator(w, y, x).items():
         corr = sc.shift(_letter_exponent(w, sm) - b)
         sub = pre + _letters_of_datum(sm) + suf
         for d, c in _straighten_dual_letters(w, sub).items():

@@ -3,16 +3,18 @@ canonical.sigma_eta_dual_coords.
 
 sigma_eta(E_{beta_k}) is paired out in PBW coordinates at its root
 weight.  sigma_eta(E(n)) is the descending product of those images,
-straightened by pbw_product over Q(q) and divided by prod_k [n_k]!, and
-the dual-PBW columns go through f_n and back.
+straightened over Q(q) by the letter-sequence product of
+pbw_letters_oracle and divided by prod_k [n_k]!, and the dual-PBW columns
+go through f_n and back.
 """
 
 from functools import cache
 
 from qminor.canonical import pbw_to_dual_coords
-from qminor.pbw import (dual_pbw_normalizer, pbw_coordinates, pbw_product,
-                        root_vector, _letter_factorial)
+from qminor.pbw import dual_pbw_normalizer, pbw_coordinates, root_vector
 from qminor.scalars import RatScalar, add_term
+
+from pbw_letters_oracle import _letter_factorial, pbw_letters_product
 
 
 @cache
@@ -29,7 +31,7 @@ def sigma_eta_pbw_monomial(w, n):
     out = {(0,) * N: RatScalar.one()}
     for k in range(N, 0, -1):
         for _ in range(n[k - 1]):
-            out = pbw_product(w, out, sigma_eta_root_coords(w, k))
+            out = pbw_letters_product(w, out, sigma_eta_root_coords(w, k))
     fact = _letter_factorial(w, n)
     return {m: v / fact for m, v in out.items()}
 

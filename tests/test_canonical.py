@@ -5,31 +5,32 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qminor.canonical
+import qminor.pbw
 
 from qminor.scalars import LaurentPoly, RatScalar
 from qminor.rootdata import (CartanDatum, ReducedWord, longest_word, form,
                              weights_up_to, all_reduced_words_for_w0)
 from qminor.qea import WordExpr, expr_equal, sigma_eta
 from qminor.pbw import (pbw_monomial, dual_pbw_normalizer, data_of_weight,
-                        rlex_less, weight_tuple, pbw_product,
-                        straighten_commutator, unit_datum)
+                        rlex_less, weight_tuple, straighten_commutator,
+                        unit_datum, NonLaurentStraightening)
 from qminor.canonical import (dual_pbw_element, dual_pbw_expansion,
                               from_dual_pbw, sigma_eta_dual_coords,
                               eigen_scalar, bar_matrix, dual_canonical_basis,
-                              dual_canonical_element, expand_dual_canonical,
+                              dual_canonical_element,
                               expand_dual_canonical_coords,
-                              in_q_lattice, congruent_mod_qL,
+                              coords_congruent_mod_qL,
                               flag_minor_datum, flag_minor, demazure_flag,
                               basis_element_json, dual_product,
                               dual_to_pbw_coords, pbw_to_dual_coords,
-                              _dual_commutator, _letter_exponent,
-                              _sigma_eta_unit,
-                              NotUnitriangular, NonLaurentStraightening,
-                              FlagMinorWeightMismatch)
+                              _letter_exponent, _sigma_eta_unit,
+                              NotUnitriangular, FlagMinorWeightMismatch)
 from qminor.checks import standard_words
 
 from sigma_eta_oracle import pbw_route_sigma_eta_dual_coords
 from dual_letters_oracle import oracle_unit_product, oracle_sigma_eta_column
+from pbw_letters_oracle import (pbw_letters_product,
+                                pbw_straighten_commutator)
 from weight_oracle import frac_minor_weight
 from qminor.quiver import adapted_word, all_orientations
 
@@ -75,8 +76,9 @@ def test_dual_product_matches_elements():
 
 def _oracle_dual_product(w, ca, cb):
     """The product without the table: convert both factors to PBW
-    coordinates, straighten, and convert back."""
-    prod = pbw_product(w, dual_to_pbw_coords(w, ca), dual_to_pbw_coords(w, cb))
+    coordinates, straighten their letters over Q(q), and convert back."""
+    prod = pbw_letters_product(w, dual_to_pbw_coords(w, ca),
+                               dual_to_pbw_coords(w, cb))
     return pbw_to_dual_coords(w, prod)
 
 
@@ -164,9 +166,10 @@ def test_dual_pbw_element_is_q_power_times_letters(label):
 def test_dual_commutator_is_laurent(label):
     # S*[m] = f_{e_k + e_k'} S[m] / f_m is in Z[q, q^-1] for every pair of
     # every reduced word of A2, B2 and A3, of the standard and adapted
-    # words of A4, and of the standard words of D4 (_dual_commutator
-    # raises otherwise).  The adapted words of D4 take 14 s of pairings,
-    # so CI checks them in a step of their own.
+    # words of A4, and of the standard words of D4 (straighten_commutator
+    # raises otherwise).  S is the PBW-side straightening that
+    # tests/pbw_letters_oracle.py pairs out over Q(q).  CI straightens
+    # the adapted words of D4 in a step of its own.
     datum = CartanDatum(label)
     if datum.rank <= 3:
         words = all_reduced_words_for_w0(datum)
@@ -182,8 +185,10 @@ def test_dual_commutator_is_laurent(label):
                              zip(unit_datum(N, k), unit_datum(N, kp)))
                 f = dual_pbw_normalizer(w, lead)
                 expected = {m: f * c / dual_pbw_normalizer(w, m)
-                            for m, c in straighten_commutator(w, k, kp).items()}
-                got = _dual_commutator(w, k, kp)
+                            for m, c in pbw_straighten_commutator(
+                                w, k, kp).items()}
+                got = straighten_commutator(w, k, kp)
+                assert all(isinstance(c, LaurentPoly) for c in got.values())
                 assert {m: RatScalar.from_laurent(c)
                         for m, c in got.items()} == expected, (w.word, k, kp)
 
@@ -192,7 +197,7 @@ def test_non_laurent_dual_commutator_raises(non_laurent_commutator):
     # the fixture swaps in fresh caches: call them through the module
     with pytest.raises(NonLaurentStraightening,
                        match=r"S\* of E\*_3 E\*_1 on .* at \[0,1,0\]"):
-        qminor.canonical._dual_commutator(W_A2, 1, 3)
+        qminor.pbw.straighten_commutator(W_A2, 1, 3)
     with pytest.raises(NonLaurentStraightening):
         dual_product(W_A2, {(0, 0, 1): RatScalar.one()},
                      {(1, 0, 0): RatScalar.one()})
@@ -413,22 +418,27 @@ def test_inversion_residue_raises(monkeypatch):
 def test_expand_dual_canonical():
     # B(m)* expands as the delta; E(n)* expands unitriangularly with the
     # correction in qZ[q]; zero expands to nothing.
+    def expand(x):
+        return expand_dual_canonical_coords(dual_pbw_expansion(x, W_A2),
+                                            W_A2)
+
     x = dual_canonical_element(W_A2, (1, 0, 1))
-    assert expand_dual_canonical(x, W_A2) == {(1, 0, 1): RatScalar.one()}
-    y = dual_pbw_element(W_A2, (1, 0, 1))
-    exp = expand_dual_canonical(y, W_A2)
+    assert expand(x) == {(1, 0, 1): RatScalar.one()}
+    exp = expand(dual_pbw_element(W_A2, (1, 0, 1)))
     assert exp[(1, 0, 1)].is_one()
     assert exp[(0, 1, 0)] == qp(1, -1)
     assert exp[(0, 1, 0)].is_in_qZq()
-    assert expand_dual_canonical(WordExpr.zero(A2), W_A2) == {}
+    assert expand(WordExpr.zero(A2)) == {}
 
 
 # -- the lattice ---------------------------------------------------------------
 
 def test_q_lattice_membership():
+    # x is in qL* iff it is congruent to 0 mod qL*
     x = dual_pbw_element(W_A2, (0, 1, 0))
-    assert not in_q_lattice(x, W_A2)
-    assert in_q_lattice(x.scale(qp(1)), W_A2)
+    assert not coords_congruent_mod_qL(dual_pbw_expansion(x, W_A2), {})
+    assert coords_congruent_mod_qL(
+        dual_pbw_expansion(x.scale(qp(1)), W_A2), {})
 
 
 def test_canonical_congruent_dual_pbw():
@@ -437,7 +447,8 @@ def test_canonical_congruent_dual_pbw():
         for m in data_of_weight(W_A2, mu):
             b = dual_canonical_element(W_A2, m)
             e = dual_pbw_element(W_A2, m)
-            assert congruent_mod_qL(b, e, W_A2)
+            assert coords_congruent_mod_qL(dual_pbw_expansion(b, W_A2),
+                                           dual_pbw_expansion(e, W_A2))
 
 
 # -- flag minors and Demazure flags --------------------------------------------

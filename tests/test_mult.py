@@ -11,9 +11,9 @@ from qminor.rootdata import CartanDatum, ReducedWord, longest_word
 from qminor.pbw import d_form, weight_tuple
 from qminor.canonical import (flag_minor_datum, dual_canonical_element,
                               dual_pbw_expansion)
-from qminor.mult import (q_commute_exponent, q_commute_exponent_coords,
-                         is_multiplicative, check_511, adapted_monomials,
-                         all_data_up_to, verify_theorem_51, _dual_can_coords)
+from qminor.mult import (q_commute_exponent_coords, is_multiplicative,
+                         check_511, adapted_monomials, all_data_up_to,
+                         verify_theorem_51, _dual_can_coords)
 from qminor.quiver import parse_orientation, all_orientations
 
 A2 = CartanDatum("A2")
@@ -42,8 +42,13 @@ def test_q_commute_absent():
                                      coords((0, 0, 1))) is None
 
 
+def q_commute_exponent(b, bp, w):
+    """The exponent for two elements, through their dual-PBW coordinates."""
+    return q_commute_exponent_coords(w, dual_pbw_expansion(b, w),
+                                     dual_pbw_expansion(bp, w))
+
+
 def test_q_commute_element_interface():
-    from qminor.canonical import dual_canonical_element
     b = dual_canonical_element(W_A2, flag_minor_datum(W_A2, 3))
     bp = dual_canonical_element(W_A2, (1, 0, 0))
     assert q_commute_exponent(b, bp, W_A2) == 1

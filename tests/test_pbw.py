@@ -8,7 +8,7 @@ import pytest
 
 import qminor.pbw
 
-from qminor.scalars import RatScalar, ONE, quantum_factorial
+from qminor.scalars import LaurentPoly, RatScalar, ONE, quantum_factorial
 from qminor.rootdata import (CartanDatum, ReducedWord, longest_word, form,
                              weyl_act, all_reduced_words_for_w0)
 from qminor.qea import (WordExpr, TriExpr, serre_element, expr_equal,
@@ -23,6 +23,7 @@ from qminor.pbw import (braid_T, root_vector, pbw_monomial,
                         _root_norm, _root_units, _root_tri,
                         _root_word,
                         StraighteningError)
+from qminor.canonical import dual_pbw_element
 from qminor.checks import standard_words, weights_up_to
 from qminor.quiver import adapted_word, all_orientations
 
@@ -520,17 +521,19 @@ def _two_sweep_commutator(w, k, kp, lead):
     return forward, coeffs
 
 
-@pytest.mark.parametrize("label", ["A2", "B2", "A3", "A4"])
+@pytest.mark.parametrize("label", ["A2", "B2", "A3", "A4", "D4"])
 def test_straighten_commutator_matches_two_sweeps(label):
     # E_{b_k}E_{b_kp} is the monomial E(e_k + e_kp), so its coordinates
-    # are that datum alone; the one-sweep table, paired only inside the
-    # interval, equals the two-sweep one paired against every datum of
-    # the weight, and is supported strictly between k and kp.  A4 runs on
-    # its standard words only: its adapted words add 8 s and the D4 words
-    # 240 s of full pairings.
+    # are that datum alone.  The one-sweep S*, paired only inside the
+    # interval, is the two-sweep S, paired against every datum of the
+    # weight, rescaled by f_{e_k + e_kp}/f_m; it is supported strictly
+    # between k and kp, and each value is a LaurentPoly.  Every reduced
+    # word of A2, B2 and A3 and the standard words of A4 and D4: the
+    # adapted words of A4 add 8 s of full pairings, and CI straightens
+    # the adapted words of D4 in a step of its own.
     datum = CartanDatum(label)
-    words = (standard_words(datum) if label == "A4"
-             else _standard_and_adapted_words(datum))
+    words = (all_reduced_words_for_w0(datum) if datum.rank <= 3
+             else standard_words(datum))
     for w in words:
         N = len(w)
         for k in range(1, N + 1):
@@ -539,7 +542,13 @@ def test_straighten_commutator_matches_two_sweeps(label):
                              zip(unit_datum(N, k), unit_datum(N, kp)))
                 forward, coeffs = _two_sweep_commutator(w, k, kp, lead)
                 assert forward == {lead: RatScalar.one()}
-                assert straighten_commutator(w, k, kp) == coeffs
+                f = dual_pbw_normalizer(w, lead)
+                got = straighten_commutator(w, k, kp)
+                assert all(isinstance(c, LaurentPoly) for c in got.values())
+                assert {m: RatScalar.from_laurent(c)
+                        for m, c in got.items()} == {
+                    m: f * c / dual_pbw_normalizer(w, m)
+                    for m, c in coeffs.items()}, (w.word, k, kp)
                 for m in coeffs:
                     assert all(c == 0 for t, c in enumerate(m, start=1)
                                if not k < t < kp), (w.word, k, kp, m)
@@ -560,23 +569,27 @@ def test_wrong_leading_coefficient_raises(monkeypatch):
 
 
 def test_straightening_matches_element_arithmetic():
-    # E_{b_kp} E_{b_k} = q^{-<b_kp, b_k>} (E_{b_k}E_{b_kp} - sum S) as
-    # algebra elements, for every inverted pair of A2 and B2.
+    # E*_kp E*_k = q^{-<b_kp, b_k>} (E*_k E*_kp - sum S* E(m)*) as
+    # algebra elements, with E(m)* = f_m E(m), for every inverted pair
+    # of A2 and B2.
     for datum in (A2, B2):
         w = longest_word(datum)
-        for k in range(1, len(w) + 1):
-            for kp in range(k + 1, len(w) + 1):
+        N = len(w)
+        for k in range(1, N + 1):
+            for kp in range(k + 1, N + 1):
                 bk, bkp = w.betas[k - 1], w.betas[kp - 1]
-                lhs = root_vector(w, kp) * root_vector(w, k)
-                rhs = root_vector(w, k) * root_vector(w, kp)
+                ek = dual_pbw_element(w, unit_datum(N, k))
+                ekp = dual_pbw_element(w, unit_datum(N, kp))
+                rhs = ek * ekp
                 for m, c in straighten_commutator(w, k, kp).items():
-                    rhs = rhs - pbw_monomial(w, m).scale(c)
+                    rhs = rhs - dual_pbw_element(w, m).scale(
+                        RatScalar.from_laurent(c))
                 rhs = rhs.scale(qp(-form(datum, bkp, bk)))
-                assert expr_equal(lhs, rhs)
+                assert expr_equal(ekp * ek, rhs)
 
 
 def test_pbw_product_matches_element_multiplication():
-    # Coordinate-level products (straightening route) agree with
+    # Coordinate-level products (the dual letter table) agree with
     # multiplying the elements and re-expanding (pairing route), for both
     # standard words of every type and all weight pairs of total height
     # <= 3 (rank <= 2) or <= 2.
