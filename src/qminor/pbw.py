@@ -281,18 +281,32 @@ def data_of_weight(w, mu):
 
 
 @cache
+def _unsupported(w):
+    """unsupported[k]: the coordinates that no beta_1 ... beta_k supports."""
+    out = [tuple(range(w.datum.rank))]
+    for b in _root_table(w)[0]:
+        out.append(tuple(t for t in out[-1] if not b[t]))
+    return tuple(out)
+
+
+@cache
 def _data_of_weight(w, mu):
     """data_of_weight as a tuple, searched once per (word, weight tuple);
-    __wrapped__ is the uncached search."""
+    __wrapped__ is the uncached search.  The search picks m_N, ..., m_1
+    and drops a branch as soon as the weight left has a positive
+    coordinate that no beta_1 ... beta_k still to pick supports."""
     betas = _root_table(w)[0]
+    unsupported = _unsupported(w)
     rank = len(mu)
     N = len(betas)
     out = []
 
     def search(k, remaining, acc):
+        for t in unsupported[k + 1]:
+            if remaining[t]:
+                return
         if k < 0:
-            if not any(remaining):
-                out.append(tuple(reversed(acc)))
+            out.append(tuple(reversed(acc)))
             return
         b = betas[k]
         top = min((remaining[t] // b[t]) for t in range(rank) if b[t])

@@ -349,6 +349,43 @@ def test_data_of_weight_memo_matches_search(label):
             assert data_of_weight(w, mu) == list(search(w, mu)), (w, mu)
 
 
+def _unpruned_data_of_weight(w, mu):
+    """Every datum of weight mu, sorted rlex, by the search that tries
+    every m_k <= the weight left at each level, dead branches included."""
+    betas = w.betas
+    out = []
+
+    def search(k, remaining, acc):
+        if k < 0:
+            if not any(remaining):
+                out.append(tuple(reversed(acc)))
+            return
+        b = betas[k]
+        top = min(r // x for r, x in zip(remaining, b) if x)
+        for c in range(top + 1):
+            search(k - 1, tuple(r - c * x for r, x in zip(remaining, b)),
+                   acc + [c])
+
+    search(len(betas) - 1, tuple(mu), [])
+    return sorted(out, key=lambda m: tuple(reversed(m)))
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "B2", "D4"])
+def test_data_of_weight_matches_unpruned_search(label):
+    # every reduced word of A2, A3 and B2; the standard and adapted words
+    # of A4 and D4
+    datum = CartanDatum(label)
+    if label in ("A4", "D4"):
+        words = set(standard_words(datum)) | {
+            adapted_word(o) for o in all_orientations(datum)}
+    else:
+        words = all_reduced_words_for_w0(datum)
+    for w in words:
+        for mu in weights_up_to(datum, 4):
+            assert data_of_weight(w, mu) == _unpruned_data_of_weight(w, mu), \
+                (w.word, mu)
+
+
 def test_data_of_weight_returns_a_fresh_list():
     got = data_of_weight(W_A2, (1, 1))
     expected = list(got)
