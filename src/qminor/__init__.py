@@ -5,7 +5,7 @@ minors, quiver-adapted words, and multiplicativity scans.
 
 from .rootdata import CartanDatum, ReducedWord, longest_word
 from .qea import WordExpr, TriExpr, UPlusExpr, pairing, canonical_form
-from .pbw import (braid_T, root_vector, pbw_monomial, pbw_coordinates,
+from .pbw import (root_vector, pbw_monomial, pbw_coordinates,
                   dual_pbw_normalizer, d_form, c_form, rlex_less, ext_order,
                   straighten_commutator, pbw_product)
 from .canonical import (dual_pbw_element, dual_canonical_basis,

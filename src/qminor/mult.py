@@ -14,7 +14,7 @@ canonical's per-word table of E*_l E(m)*.
 """
 
 from .scalars import ZERO
-from .rootdata import form, weights_up_to
+from .rootdata import weights_up_to
 from .pbw import d_form, weight_tuple, data_of_weight, render_datum
 from .canonical import (dual_canonical_basis, expand_dual_canonical_coords,
                         dual_product, coords_congruent_mod_qL,
@@ -49,6 +49,9 @@ def _is_predicted_basis_element(w, m, mp, e, xy):
     """True iff q^d xy = B(m+mp)* for xy = B(m)* B(mp)* = q^e B(mp)* B(m)*
     and d = d(m, mp), decided by (i) e = (mu, mu') - 2d and (ii) q^d xy
     has the coordinate 1 at m+mp and one in qZ[q] at every other datum.
+    Expanding d over the Gram matrix of the roots gives
+    (mu, mu') = d(m, mp) + d(mp, m) (check_prop32 checks it as "dsum"),
+    so (i) reads e = d(mp, m) - d, the c-form c(mp, m).
 
     Proof.  Let T_nu = s_nu^{-1} sigma_eta be the twisted bar on weight nu,
     mu and mu' the weights of m and mp, and P = q^d xy.  sigma_eta is a
@@ -64,7 +67,7 @@ def _is_predicted_basis_element(w, m, mp, e, xy):
     P = B(m+mp)* is T-fixed and lies in E(m+mp)* + qL*.
     """
     d = d_form(w, m, mp)
-    if e != form(w.datum, weight_tuple(w, m), weight_tuple(w, mp)) - 2 * d:
+    if e != d_form(w, mp, m) - d:
         return False
     target = tuple(a + b for a, b in zip(m, mp))
     return xy.get(target, ZERO).shift(d).is_one() and all(

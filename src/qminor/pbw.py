@@ -1,151 +1,32 @@
-"""Braid automorphisms, PBW root vectors and monomials, PBW coordinates,
-the d- and c-forms, and the two orderings on Lusztig data.
+"""PBW root vectors and monomials, PBW coordinates, the d- and c-forms,
+and the two orderings on Lusztig data.
 
 A Lusztig datum is a vector m in Z_{>=0}^N tied to a reduced word of
-w_0; the PBW monomial is E(m) = E_{beta_1}^{(m_1)} ... E_{beta_N}^{(m_N)}
-with root vectors E_{beta_k} = T_{i_1} ... T_{i_{k-1}}(E_{i_k}).
-Coordinates of arbitrary elements are computed through the Hopf pairing
-against the mirrored F-side monomials F(m) (biorthogonality), never by
-word rewriting.  F(m) is E(m) pushed through the Chevalley involution
-omega (E_i <-> F_i, K_mu -> K_-mu) and scaled by a unit +-q^a, since
-T_i omega = Psi_i omega T_i for a grading scalar Psi_i (see
-f_pbw_monomial), so the braid automorphisms and the product of root
-vectors run on the E side only.  The dual PBW normalizers f_m come from
-Lusztig's product formula for (E(m), F(m)), and their units u_m in
-closed form from the root units.  The straightening law of two dual
-root vectors E*_k = E(e_k)* is paired out once per pair, in dual-PBW
-coordinates over Z[q, q^-1]; canonical builds every product on it.
+w_0; the PBW monomial is E(m) = E_{beta_1}^{(m_1)} ... E_{beta_N}^{(m_N)}.
+The root vectors E_{beta_k} come from the Cartan-Weyl q-commutator rule
+in U_q(n) (root_vector); they are the braid root vectors
+q^(a_k) T_{i_1} ... T_{i_{k-1}}(E_{i_k}), which tests/braid_oracle.py
+evaluates in U_q(g) as their oracle.  Coordinates of arbitrary elements
+are computed through the Hopf pairing against the mirrored F-side
+monomials F(m) (biorthogonality), never by word rewriting.  F(m) is E(m)
+pushed through the Chevalley involution omega (E_i <-> F_i,
+K_mu -> K_-mu) and scaled by a unit +-q^a (see f_pbw_monomial), so the
+product of root vectors runs on the E side only.  The dual PBW
+normalizers f_m come from Lusztig's product formula for (E(m), F(m)),
+and their units u_m in closed form from the root units.  The
+straightening law of two dual root vectors E*_k = E(e_k)* is paired out
+once per pair, in dual-PBW coordinates over Z[q, q^-1]; canonical builds
+every product on it.
 """
 
 from functools import cache
 
 from .scalars import LaurentPoly, RatScalar, ONE, quantum_factorial
-from .rootdata import form, reflect
-from .qea import WordExpr, TriExpr, tri_mul, pairing
-
-
-# -- braid automorphisms -------------------------------------------------
-
-@cache
-def _braid_gen(datum, i, kind, j, mult):
-    """T_i applied to E_j^{(mult)}, F_j^{(mult)} or (kind 'K') K_lambda
-    with lambda given by the coordinate tuple j.
-
-    For i != j and r = -a_ij,
-    T_i(E_j) = sum_s (-1)^(r-s) q_i^(s-r) E_i^(s) E_j E_i^(r-s) and
-    T_i(F_j) = sum_s (-1)^(r-s) q_i^(r-s) F_i^(r-s) F_j F_i^(s).
-    """
-    if kind == "K":
-        return TriExpr.k_elt(datum, reflect(datum, i, j))
-    if i == j:
-        if kind == "E":
-            # T_i(E_i) = -F_i K_{alpha_i}
-            base = TriExpr(datum, {
-                (((i, 1),), datum.alpha(i), ()):
-                RatScalar.from_laurent(LaurentPoly.from_int(-1))})
-        else:
-            # T_i(F_i) = -K_{-alpha_i} E_i
-            base = TriExpr(datum, {
-                ((), datum.alpha(i, -1), ((i, 1),)):
-                RatScalar.from_laurent(LaurentPoly.from_int(-1))})
-        return _tri_divided_power(datum, base, mult, datum.root_norm(i))
-    a = datum.cartan[i - 1][j - 1]
-    di = datum.d[i - 1]
-    total = TriExpr.zero(datum)
-    for s in range(-a + 1):
-        if kind == "E":
-            exp = a + s
-            term = TriExpr.one(datum)
-            if s:
-                term = tri_mul(term, TriExpr.e_gen(datum, i, s))
-            term = tri_mul(term, TriExpr.e_gen(datum, j))
-            if -a - s:
-                term = tri_mul(term, TriExpr.e_gen(datum, i, -a - s))
-        else:
-            exp = -a - s
-            term = TriExpr.one(datum)
-            if -a - s:
-                term = tri_mul(term, TriExpr.f_gen(datum, i, -a - s))
-            term = tri_mul(term, TriExpr.f_gen(datum, j))
-            if s:
-                term = tri_mul(term, TriExpr.f_gen(datum, i, s))
-        sign = -1 if (-a - s) % 2 else 1
-        total = total + term.scale(RatScalar.q_power(di * exp, sign))
-    return _tri_divided_power(datum, total, mult, datum.root_norm(j))
-
-
-def _tri_divided_power(datum, x, mult, norm):
-    """x^mult / [mult]! at the given root norm."""
-    out = TriExpr.one(datum)
-    for _ in range(mult):
-        out = tri_mul(out, x)
-    if mult > 1:
-        out = out.scale(RatScalar(ONE, quantum_factorial(mult, norm)))
-    return out
-
-
-def braid_T(i, x):
-    """The braid automorphism T_i on a TriExpr, generator by generator."""
-    datum = x.datum
-    out = TriExpr.zero(datum)
-    zk = (0,) * datum.rank
-    for (f, k, e), c in x.terms.items():
-        term = TriExpr.one(datum)
-        for j, m in f:
-            term = tri_mul(term, _braid_gen(datum, i, "F", j, m))
-        if k != zk:
-            term = tri_mul(term, _braid_gen(datum, i, "K", k, 1))
-        for j, m in e:
-            term = tri_mul(term, _braid_gen(datum, i, "E", j, m))
-        out = out + term.scale(c)
-    return out
+from .rootdata import form, num_positive_roots, reduced_completion
+from .qea import WordExpr, pairing
 
 
 # -- root vectors ----------------------------------------------------------
-
-@cache
-def _root_tri(datum, word):
-    """T_{i_1} ... T_{i_{k-1}}(E_{i_k}) in U_q(g), where
-    word = (i_1, ..., i_k).  Shared suffix recursion.
-
-    The cache is keyed by the word that _root_word shortens, not by the
-    full prefix: root_vector passes word[:r-1] + (j,), where the tail
-    T_{i_r} ... T_{i_{k-1}}(E_{i_k}) of the chain is E_j.  That tail is
-    itself the braid image of a root vector of the reduced word
-    (i_r, ..., i_k), so it has no F or K part (root_vector raises
-    NotInUqn otherwise).  Its weight is alpha_j, and the only word of
-    weight alpha_j is (j,), so it is c E_j, and the lemma in _root_word
-    gives c = 1.  So it is structurally TriExpr.e_gen(datum, j), the
-    T_{i_1} ... T_{i_{r-1}} that follow see the same input, and the
-    shortened key gives a TriExpr equal term for term to the full
-    prefix's.
-    """
-    if len(word) > 1:
-        return braid_T(word[0], _root_tri(datum, word[1:]))
-    return TriExpr.e_gen(datum, word[0])
-
-
-def _root_word(datum, word):
-    """The shortest key for _root_tri that gives the root vector of
-    word = (i_1, ..., i_k).
-
-    Follow gamma_k = alpha_{i_k}, gamma_r = s_{i_r}(gamma_{r+1}) on int
-    root coordinates.  At the smallest r where gamma_r is a simple root
-    alpha_j, return word[:r-1] + (j,).  Lemma: if v is a Weyl element
-    with v(alpha_i) = alpha_j, then T_v(E_i) = E_j, with T_v taken along
-    any reduced expression of v (Jantzen, Lectures on Quantum Groups,
-    8.20; Lusztig, Introduction to Quantum Groups, ch. 39).  A run of
-    letters of a reduced word is reduced, so
-    T_{i_r} ... T_{i_{k-1}}(E_{i_k}) = E_j.
-    """
-    gamma = datum.alpha(word[-1])
-    cut, j = len(word) - 1, word[-1]
-    for r in range(len(word) - 2, -1, -1):
-        gamma = reflect(datum, word[r], gamma)
-        if sum(gamma) == 1:     # a positive root of height 1
-            cut, j = r, 1 + gamma.index(1)
-    return word[:cut] + (j,)
-
 
 @cache
 def _root_table(w):
@@ -160,7 +41,8 @@ def _root_table(w):
 def _root_units(w):
     """(a_k, ht beta_k - 1) for k = 1..N.  a_k = sum c_i d_i -
     <beta_k,beta_k>/2 for beta_k = sum c_i alpha_i is the exponent of
-    the normalizing unit q^(a_k) of E_{beta_k}, and ht beta_k - 1 the
+    the unit q^(a_k) by which E_{beta_k} (root_vector) differs from the
+    braid image T_{i_1} ... T_{i_{k-1}}(E_{i_k}), and ht beta_k - 1 the
     sign exponent of F_{beta_k} in f_pbw_monomial.
 
     The unit is trivial on simple roots and makes the dual PBW basis
@@ -173,22 +55,44 @@ def _root_units(w):
                  for k, beta in enumerate(betas))
 
 
+@cache
 def root_vector(w, k):
-    """E_{beta_k} for the reduced word w, as a UPlusExpr.
+    """E_{beta_k} for the reduced word w, as a UPlusExpr, by the
+    Cartan-Weyl q-commutator rule (Khoroshkin-Tolstoy, Comm. Math. Phys.
+    141, 1991).
 
-    The braid chain T_{i_1} ... T_{i_{k-1}}(E_{i_k}) starts at its last
-    simple root: if gamma_r = s_{i_r} ... s_{i_{k-1}}(alpha_{i_k}) is a
-    simple root alpha_j, then T_{i_r} ... T_{i_{k-1}}(E_{i_k}) = E_j
-    (Jantzen, Lectures on Quantum Groups, 8.20; Lusztig, Introduction to
-    Quantum Groups, ch. 39).  _root_word finds the smallest such r, and
-    _root_tri evaluates only T_{i_1} ... T_{i_{r-1}}(E_j), which is term
-    for term the TriExpr of the full chain (see _root_tri).
+    If beta_k = alpha_j, E_{beta_k} = E_j.  Otherwise take the pair
+    i < k < j with beta_i + beta_j = beta_k, of smallest j - i and then
+    smallest i, and b = (beta_i, beta_j):
+    E_{beta_k} = (E_{beta_i} E_{beta_j} - q^b E_{beta_j} E_{beta_i}) / c,
+    with c = q + q^-1 where two short roots add up to a long one (B2) and
+    c = q^b otherwise.  On a word shorter than w_0 the pair is taken in
+    reduced_completion(w), since E_{beta_k} depends only on i_1 ... i_k.
 
-    Raises NotInUqn if the braid image fails to land in U_q(n): that
-    signals a convention bug, not a user error.
+    This is the braid root vector q^(a_k) T_{i_1} ... T_{i_{k-1}}(E_{i_k})
+    (_root_units) of tests/braid_oracle.py, with the T_i of Jantzen,
+    Lectures on Quantum Groups, 8.14: the tests and CI compare the two by
+    canonical_form on every reduced word for w_0 of every type in
+    rootdata._CARTAN.  The supported types are that fixed finite list, so
+    the exhaustive comparison is the proof; no general theorem is claimed.
     """
-    x = _root_tri(w.datum, _root_word(w.datum, w.word[:k])).project_uplus()
-    return x.scale(RatScalar.q_power(_root_units(w)[k - 1][0]))
+    if len(w.word) < num_positive_roots(w.datum):
+        return root_vector(reduced_completion(w), k)
+    betas, gram = _root_table(w)
+    beta = betas[k - 1]
+    if sum(beta) == 1:
+        return WordExpr.generator(w.datum, 1 + beta.index(1))
+    _, i, j = min((j - i, i, j) for i in range(k - 1)
+                  for j in range(k, len(betas))
+                  if all(a + b == c for a, b, c in
+                         zip(betas[i], betas[j], beta)))
+    b = gram[i][j]
+    x, y = root_vector(w, i + 1), root_vector(w, j + 1)
+    if gram[i][i] == gram[j][j] < gram[k - 1][k - 1]:
+        c_inv = RatScalar(ONE, LaurentPoly({-1: 1, 1: 1}))
+    else:
+        c_inv = RatScalar.q_power(-b)
+    return (x * y - (y * x).scale(RatScalar.q_power(b))).scale(c_inv)
 
 
 # -- PBW monomials and coordinates ------------------------------------------
@@ -231,8 +135,11 @@ def f_pbw_monomial(w, m):
     Chevalley involution E_i <-> F_i, K_mu -> K_-mu, so omega(E(m)) is
     E(m) with its words put on the F side.  Root vectors:
     F_{beta_k} = r_k T_{i_1} ... T_{i_{k-1}}(F_{i_k}) is
-    (-1)^(ht beta_k - 1) r_k omega(E_{beta_k}).  With the conventions of
-    _braid_gen, T_i(omega g) = Psi_i(omega T_i g), where Psi_i scales an
+    (-1)^(ht beta_k - 1) r_k omega(E_{beta_k}).  Take the T_i of
+    tests/braid_oracle.py (Jantzen, Lectures on Quantum Groups, 8.14);
+    root_vector equals r_k T_{i_1} ... T_{i_{k-1}}(E_{i_k}) there on every
+    supported word, by exhaustive comparison.  With these conventions,
+    T_i(omega g) = Psi_i(omega T_i g), where Psi_i scales an
     element of weight lambda by (-1)^<alpha_i^v, lambda>
     q^-(alpha_i, lambda) (check it on E_j, F_j and K_mu).  Write
     gamma_j = s_{i_j} ... s_{i_{k-1}} alpha_{i_k}, so gamma_1 = beta_k
@@ -244,8 +151,7 @@ def f_pbw_monomial(w, m):
     d_{i_k} = (beta_k, beta_k)/2: that is r_k.  Monomials: omega is an
     algebra automorphism (Jantzen, Lectures on Quantum Groups, 4.6), so
     it carries E(m) to the product of the omega(E_{beta_k})^{(m_k)}.
-    omega maps U^+ onto U^-, so the NotInUqn check of root_vector covers
-    this side too.  The braid route stays in the tests as an oracle.
+    The braid route stays in the tests as an oracle.
     """
     m = check_datum(w, m)
     a = sum(c * ak for c, (ak, _) in zip(m, _root_units(w)))
@@ -336,11 +242,13 @@ def _normalizer_pair(w, m):
     f_m(0) = 1, and u_m = prod_k u_k^{m_k}, summed as ints, with u_k =
     1/((E_beta, F_beta) (1 - q^c)) = -q^{-c - 3 a_k} for beta = beta_k,
     c = (beta, beta) and i = i_k.  Proof: with r = q^(a_k) (_root_units)
-    and E' = T_{i_1} ... T_{i_{k-1}}(E_i), E_beta = r E' (root_vector)
+    and E' = T_{i_1} ... T_{i_{k-1}}(E_i), E_beta = r E' (root_vector, by
+    its exhaustive equality with the braid chain of tests/braid_oracle.py)
     and F_beta = (-1)^(ht beta - 1) r omega(E_beta) (f_pbw_monomial).  The
     braid automorphisms preserve the form (x, omega(y)) on U^+ (Lusztig,
     38.2.1; Jantzen, Lectures on Quantum Groups, 8.30) up to a sign; with
-    the signs of _braid_gen, (E', omega(E')) = (-1)^(ht beta - 1) (E_i, F_i).
+    the T_i of that oracle (Jantzen, 8.14),
+    (E', omega(E')) = (-1)^(ht beta - 1) (E_i, F_i).
     So (E_beta, F_beta) = r^3 (E_i, F_i) = r^3 / (1 - q^-c), as the Weyl
     group keeps c = (alpha_i, alpha_i), and (1 - q^c)/(1 - q^-c) = -q^c.
     The tests check u_k against the pairing.

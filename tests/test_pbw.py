@@ -1,7 +1,6 @@
-"""Braid automorphisms, root vectors, PBW monomials/coordinates, dual
+"""The braid oracle, root vectors, PBW monomials/coordinates, dual
 normalizers, the d- and c-forms, straightening and the Ext order."""
 
-import functools
 import itertools
 
 import pytest
@@ -10,23 +9,25 @@ import qminor.pbw
 
 from qminor.scalars import LaurentPoly, RatScalar, ONE, quantum_factorial
 from qminor.rootdata import (CartanDatum, ReducedWord, longest_word, form,
-                             weyl_act, all_reduced_words_for_w0)
+                             weyl_act, all_reduced_words_for_w0,
+                             reduced_completion)
 from qminor.qea import (WordExpr, TriExpr, serre_element, expr_equal,
-                        pairing, tri_mul)
-from qminor.pbw import (braid_T, root_vector, pbw_monomial,
+                        pairing, tri_mul, canonical_form)
+from qminor.pbw import (root_vector, pbw_monomial,
                         f_pbw_monomial, pbw_coordinates, data_of_weight,
                         pairing_em_fn, dual_pbw_normalizer,
                         d_form, c_form, rlex_less, unit_datum,
                         straighten_commutator, ext_order, pbw_product,
                         weight_tuple, render_datum,
                         _normalizer_pair, _root_table,
-                        _root_norm, _root_units, _root_tri,
-                        _root_word,
+                        _root_norm, _root_units,
                         StraighteningError)
 from qminor.canonical import dual_pbw_element
 from qminor.checks import standard_words, weights_up_to
 from qminor.quiver import adapted_word, all_orientations
 
+from braid_oracle import (braid_T, braid_chain, braid_root_vector,
+                          braid_f_root_vector)
 from weight_oracle import frac_form, frac_weyl_act
 
 A2 = CartanDatum("A2")
@@ -43,18 +44,13 @@ def qp(k, c=1):
     return RatScalar.q_power(k, c)
 
 
-# -- braid operators -----------------------------------------------------------
+# -- the braid automorphisms of the oracle -------------------------------------
 
 def test_braid_on_generators():
     # T_1(E_1) = -F_1 K_{a1}; T_1(K_{a2}) = K_{s_1(a2)} = K_{a1+a2}.
     assert braid_T(1, TriExpr.e_gen(A2, 1)) == \
-        tri_scale(tri_prod(TriExpr.f_gen(A2, 1), TriExpr.k_elt(A2, (1, 0))), -1)
+        tri_scale(tri_mul(TriExpr.f_gen(A2, 1), TriExpr.k_elt(A2, (1, 0))), -1)
     assert braid_T(1, TriExpr.k_elt(A2, (0, 1))) == TriExpr.k_elt(A2, (1, 1))
-
-
-def tri_prod(x, y):
-    from qminor.qea import tri_mul
-    return tri_mul(x, y)
 
 
 def tri_scale(x, n):
@@ -117,40 +113,29 @@ def test_root_vector_matsumoto_independence():
     assert expr_equal(root_vector(w1, 4), root_vector(w2, 4))
 
 
-# -- braid chains that start at their last simple root ----------------------
-
-def test_root_word_cases():
-    # k = 1: the root vector is the generator itself
-    assert _root_word(A2, (1,)) == (1,)
-    # s_1 s_2 (alpha_1) = alpha_2, so T_1 T_2 (E_1) = E_2
-    assert _root_word(A2, (1, 2, 1)) == (2,)
-    # gamma_2 = alpha_1 + alpha_2 is not simple: nothing to cut
-    assert _root_word(A2, (1, 2)) == (1, 2)
-    # s_1 fixes alpha_3 in A3, so gamma stays simple through the letter 1
-    assert _root_word(A3, (1, 3)) == (3,)
-    assert _root_word(A3, (2, 1, 3)) == (2, 3)
-    # alpha_2 -> alpha_2 + alpha_3 -> alpha_1 + alpha_2 + alpha_3, which
-    # s_2 fixes
-    assert _root_word(A3, (2, 1, 3, 2)) == (2, 1, 3, 2)
-    # B2: alpha_2 -> 2 alpha_1 + alpha_2 -> 2 alpha_1 + alpha_2 -> alpha_2
-    assert _root_word(B2, (1, 2, 1, 2)) == (2,)
-    assert _root_word(B2, (2, 1, 2, 1)) == (1,)
-    assert _root_word(B2, (2, 1, 2)) == (2, 1, 2)
-    # the cut is taken at the smallest r, past a non-simple gamma
-    assert _root_word(A3, (3, 2, 1, 3, 2, 3)) == (1,)
-
+# -- root vectors against the braid chains ------------------------------------
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "A3", "A4", "D4"])
-def test_root_word_gives_identical_braid_images(label):
-    # the full-prefix braid chain is the oracle: equal term for term, in
-    # the same order, so every root vector and its render stay the same
-    datum = CartanDatum(label)
+def test_root_vector_matches_braid_oracle(label):
+    # the q-commutator rule against the full braid chain, equal in U_q(n):
+    # every reduced word of A1, A2, B2 and A3; the standard and adapted
+    # words of A4 and D4 (CI runs every reduced word of every type)
     for w in _mirror_words(label):
         for k in range(1, len(w.word) + 1):
-            full = _root_tri(datum, w.word[:k])
-            short = _root_tri(datum, _root_word(datum, w.word[:k]))
-            assert full == short, (w.word, k)
-            assert list(full.terms) == list(short.terms), (w.word, k)
+            assert canonical_form(root_vector(w, k)) == \
+                canonical_form(braid_root_vector(w, k)), (w.word, k)
+
+
+def test_root_vector_on_a_word_shorter_than_w0():
+    # E_{beta_k} depends only on i_1 ... i_k: on 2,1,3 it is the root
+    # vector of the completion, which the braid chain of the prefix gives
+    w = ReducedWord(A3, (2, 1, 3))
+    full = reduced_completion(w)
+    assert full.word[:3] == w.word and len(full.word) == 6
+    for k in range(1, 4):
+        assert root_vector(w, k) == root_vector(full, k)
+        assert canonical_form(root_vector(w, k)) == \
+            canonical_form(braid_root_vector(w, k)), k
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "A3", "A4", "D4"])
@@ -167,32 +152,12 @@ def test_braid_chain_returns_generator_at_simple_root(label):
                                  datum.alpha(w.word[k - 1]))
                 if gamma in simple:
                     seen += r < k
-                    assert _root_tri(datum, w.word[r - 1:k]) == \
+                    assert braid_chain(datum, w.word[r - 1:k]) == \
                         TriExpr.e_gen(datum, simple[gamma]), (w.word, k, r)
     assert seen or label == "A1"
 
 
 # -- the F side by the Chevalley involution ----------------------------------
-
-@functools.cache
-def _oracle_f_tri(datum, word):
-    """T_{i_1} ... T_{i_{k-1}}(F_{i_k}) by the braid automorphisms."""
-    if len(word) > 1:
-        return braid_T(word[0], _oracle_f_tri(datum, word[1:]))
-    return TriExpr.f_gen(datum, word[0])
-
-
-def _oracle_f_root_vector(w, k):
-    """F_{beta_k} by the braid route: the braid image of F_{i_k},
-    projected to the F side and scaled by the root unit u_k."""
-    zk = (0,) * w.datum.rank
-    terms = {}
-    for (f, kv, e), c in _oracle_f_tri(w.datum, w.word[:k]).terms.items():
-        assert not e and kv == zk, (f, kv, e)
-        terms[f] = c
-    return WordExpr(w.datum, terms, "F").scale(
-        RatScalar.q_power(_root_units(w)[k - 1][0]))
-
 
 def _mirror_f_root_vector(w, k):
     """F_{beta_k} = (-1)^(ht beta_k - 1) u_k omega(E_{beta_k}) by the
@@ -224,14 +189,21 @@ def _mirror_words(label):
     return all_reduced_words_for_w0(datum)
 
 
+def _omega_canonical_form(x):
+    """canonical_form of omega(x) for x in U_q^-: the Chevalley
+    involution puts the words of x on the E side."""
+    return canonical_form(WordExpr(x.datum, x.terms, "E"))
+
+
 def _assert_f_pbw_monomials_match_oracles(w, data):
-    # F(m) read off E(m) equals the braid route term for term, and the
-    # product chain of the mirrored root vectors also in key order (the
-    # braid route orders its terms differently)
+    # F(m) read off E(m) equals the braid route in U_q^- (through omega,
+    # by canonical form: the q-commutator root vectors are other words
+    # for the same elements), and the product chain of the mirrored root
+    # vectors term for term and in key order
     for m in data:
         got = f_pbw_monomial(w, m)
-        assert got == _divided_power_chain(
-            w, m, _oracle_f_root_vector), (w.word, m)
+        assert _omega_canonical_form(got) == _omega_canonical_form(
+            _divided_power_chain(w, m, braid_f_root_vector)), (w.word, m)
         chain = _divided_power_chain(w, m, _mirror_f_root_vector)
         assert got == chain, (w.word, m)
         assert list(got.terms) == list(chain.terms), (w.word, m)
