@@ -4,26 +4,31 @@ and the two orderings on Lusztig data.
 A Lusztig datum is a vector m in Z_{>=0}^N tied to a reduced word of
 w_0; the PBW monomial is E(m) = E_{beta_1}^{(m_1)} ... E_{beta_N}^{(m_N)}.
 The root vectors E_{beta_k} come from the Cartan-Weyl q-commutator rule
-in U_q(n) (root_vector); they are the braid root vectors
+in U_q(n) (_plain_root_vector); they are the braid root vectors
 q^(a_k) T_{i_1} ... T_{i_{k-1}}(E_{i_k}), which tests/braid_oracle.py
-evaluates in U_q(g) as their oracle.  Coordinates of arbitrary elements
-are computed through the Hopf pairing against the mirrored F-side
-monomials F(m) (biorthogonality), never by word rewriting.  F(m) is E(m)
-pushed through the Chevalley involution omega (E_i <-> F_i,
-K_mu -> K_-mu) and scaled by a unit +-q^a (see f_pbw_monomial), so the
-product of root vectors runs on the E side only.  The dual PBW
-normalizers f_m come from Lusztig's product formula for (E(m), F(m)),
-and their units u_m in closed form from the root units.  The
-straightening law of two dual root vectors E*_k = E(e_k)* is paired out
-once per pair, in dual-PBW coordinates over Z[q, q^-1]; canonical builds
-every product on it.
+evaluates in U_q(g) as their oracle.  Root vectors and PBW monomials are
+built once per (word, index or datum) as qea.PlainSums, plain-word sums
+over Z[q, q^-1] with one Laurent denominator, multiplied by concatenating
+words; root_vector, pbw_monomial and f_pbw_monomial are WordExpr views of
+them.  Coordinates of arbitrary elements are computed through the Hopf
+pairing against the mirrored F-side monomials F(m) (biorthogonality),
+never by word rewriting.  F(m) is E(m) pushed through the Chevalley
+involution omega (E_i <-> F_i, K_mu -> K_-mu) and scaled by a unit +-q^a
+(see f_pbw_monomial), so the cached plain sum of E(m) serves both sides
+and each pairing builds one RatScalar.  The dual PBW normalizers f_m
+come from Lusztig's product formula for (E(m), F(m)), and their units
+u_m in closed form from the root units.  The straightening law of two
+dual root vectors E*_k = E(e_k)* is paired out once per pair, in
+dual-PBW coordinates over Z[q, q^-1]; canonical builds every product on
+it.
 """
 
 from functools import cache
 
-from .scalars import LaurentPoly, RatScalar, ONE, quantum_factorial
+from .scalars import (LaurentPoly, RatScalar, ONE, add_term,
+                      quantum_factorial)
 from .rootdata import form, num_positive_roots, reduced_completion
-from .qea import WordExpr, pairing
+from .qea import PlainSum, plain_pairing, plain_sums
 
 
 # -- root vectors ----------------------------------------------------------
@@ -57,17 +62,25 @@ def _root_units(w):
 
 @cache
 def root_vector(w, k):
-    """E_{beta_k} for the reduced word w, as a UPlusExpr, by the
-    Cartan-Weyl q-commutator rule (Khoroshkin-Tolstoy, Comm. Math. Phys.
-    141, 1991).
+    """E_{beta_k} for the reduced word w, as a UPlusExpr: the WordExpr
+    view of _plain_root_vector."""
+    return _plain_root_vector(w, k).word_expr(w.datum)
+
+
+@cache
+def _plain_root_vector(w, k):
+    """E_{beta_k} as a PlainSum with its terms in lexicographic order, by
+    the Cartan-Weyl q-commutator rule (Khoroshkin-Tolstoy, Comm. Math.
+    Phys. 141, 1991).
 
     If beta_k = alpha_j, E_{beta_k} = E_j.  Otherwise take the pair
     i < k < j with beta_i + beta_j = beta_k, of smallest j - i and then
     smallest i, and b = (beta_i, beta_j):
     E_{beta_k} = (E_{beta_i} E_{beta_j} - q^b E_{beta_j} E_{beta_i}) / c,
-    with c = q + q^-1 where two short roots add up to a long one (B2) and
-    c = q^b otherwise.  On a word shorter than w_0 the pair is taken in
-    reduced_completion(w), since E_{beta_k} depends only on i_1 ... i_k.
+    with c = q + q^-1 where two short roots add up to a long one (B2),
+    which joins the denominator, and c = q^b otherwise, a shift.  On a
+    word shorter than w_0 the pair is taken in reduced_completion(w),
+    since E_{beta_k} depends only on i_1 ... i_k.
 
     This is the braid root vector q^(a_k) T_{i_1} ... T_{i_{k-1}}(E_{i_k})
     (_root_units) of tests/braid_oracle.py, with the T_i of Jantzen,
@@ -77,22 +90,27 @@ def root_vector(w, k):
     the exhaustive comparison is the proof; no general theorem is claimed.
     """
     if len(w.word) < num_positive_roots(w.datum):
-        return root_vector(reduced_completion(w), k)
+        return _plain_root_vector(reduced_completion(w), k)
     betas, gram = _root_table(w)
     beta = betas[k - 1]
     if sum(beta) == 1:
-        return WordExpr.generator(w.datum, 1 + beta.index(1))
+        return PlainSum(beta, {(1 + beta.index(1),): ONE})
     _, i, j = min((j - i, i, j) for i in range(k - 1)
                   for j in range(k, len(betas))
                   if all(a + b == c for a, b, c in
                          zip(betas[i], betas[j], beta)))
     b = gram[i][j]
-    x, y = root_vector(w, i + 1), root_vector(w, j + 1)
+    x, y = _plain_root_vector(w, i + 1), _plain_root_vector(w, j + 1)
+    xy = x * y
+    terms = dict(xy.terms)
+    for u, c in (y * x).terms.items():
+        add_term(terms, u, -c.shift(b))
+    den = xy.den
     if gram[i][i] == gram[j][j] < gram[k - 1][k - 1]:
-        c_inv = RatScalar(ONE, LaurentPoly({-1: 1, 1: 1}))
+        den = den * LaurentPoly({-1: 1, 1: 1})
     else:
-        c_inv = RatScalar.q_power(-b)
-    return (x * y - (y * x).scale(RatScalar.q_power(b))).scale(c_inv)
+        terms = {u: c.shift(-b) for u, c in terms.items()}
+    return PlainSum(beta, dict(sorted(terms.items())), den)
 
 
 # -- PBW monomials and coordinates ------------------------------------------
@@ -123,8 +141,14 @@ def render_datum(m):
 
 
 def pbw_monomial(w, m):
-    """E(m) = E_{beta_1}^{(m_1)} ... E_{beta_N}^{(m_N)} as a UPlusExpr."""
-    return _monomial(w, check_datum(w, m))
+    """E(m) = E_{beta_1}^{(m_1)} ... E_{beta_N}^{(m_N)} as a UPlusExpr:
+    the WordExpr view of _plain_monomial, one object per checked datum."""
+    return _monomial_view(w, check_datum(w, m))
+
+
+@cache
+def _monomial_view(w, m):
+    return _plain_monomial(w, m).word_expr(w.datum)
 
 
 def f_pbw_monomial(w, m):
@@ -151,27 +175,37 @@ def f_pbw_monomial(w, m):
     d_{i_k} = (beta_k, beta_k)/2: that is r_k.  Monomials: omega is an
     algebra automorphism (Jantzen, Lectures on Quantum Groups, 4.6), so
     it carries E(m) to the product of the omega(E_{beta_k})^{(m_k)}.
-    The braid route stays in the tests as an oracle.
+    The braid route stays in the tests as an oracle.  The view reads
+    the cached plain sum of E(m) (_plain_monomial) and scales it by the
+    unit (_f_unit).
     """
     m = check_datum(w, m)
-    a = sum(c * ak for c, (ak, _) in zip(m, _root_units(w)))
-    odd = sum(c * hk for c, (_, hk) in zip(m, _root_units(w))) % 2
-    return WordExpr(w.datum, {word: -c.shift(a) if odd else c.shift(a)
-                              for word, c in _monomial(w, m).terms.items()},
-                    "F")
+    a, odd = _f_unit(w, m)
+    return _plain_monomial(w, m).word_expr(
+        w.datum, "F", LaurentPoly.q_power(a, -1 if odd else 1))
+
+
+def _f_unit(w, m):
+    """(a, odd) with F(m) = (-1)^odd q^a omega(E(m)) (f_pbw_monomial)."""
+    units = _root_units(w)
+    return (sum(c * ak for c, (ak, _) in zip(m, units)),
+            sum(c * hk for c, (_, hk) in zip(m, units)) % 2)
 
 
 @cache
-def _monomial(w, m):
-    """E(m) for a checked datum tuple m, one divided power at a time."""
-    out = WordExpr.one(w.datum)
+def _plain_monomial(w, m):
+    """E(m) for a checked datum tuple m as a PlainSum with its terms in
+    lexicographic order: the root vectors concatenated, with
+    E_{beta_k}^{(c)} = E_{beta_k}^c / [c]_{beta_k}!, so the denominator
+    is prod_k den_k^{m_k} [m_k]!.  It serves the F side too: the plain
+    F-words of omega(E(m)) are its words (f_pbw_monomial)."""
+    out = PlainSum((0,) * w.datum.rank, {(): ONE})
     for k, c in enumerate(m, start=1):
-        if c:
-            power = root_vector(w, k) ** c
-            if c > 1:
-                power = power.scale(
-                    RatScalar(ONE, quantum_factorial(c, _root_norm(w, k))))
-            out = out * power
+        for _ in range(c):
+            out = out * _plain_root_vector(w, k)
+        if c > 1:
+            out = PlainSum(out.weight, out.terms, out.den
+                           * quantum_factorial(c, _root_norm(w, k)))
     return out
 
 
@@ -187,24 +221,22 @@ def data_of_weight(w, mu):
 
 
 @cache
-def _unsupported(w):
-    """unsupported[k]: the coordinates that no beta_1 ... beta_k supports."""
-    out = [tuple(range(w.datum.rank))]
-    for b in _root_table(w)[0]:
-        out.append(tuple(t for t in out[-1] if not b[t]))
-    return tuple(out)
-
-
-@cache
 def _data_of_weight(w, mu):
     """data_of_weight as a tuple, searched once per (word, weight tuple);
-    __wrapped__ is the uncached search.  The search picks m_N, ..., m_1
-    and drops a branch as soon as the weight left has a positive
-    coordinate that no beta_1 ... beta_k still to pick supports."""
-    betas = _root_table(w)[0]
-    unsupported = _unsupported(w)
+    __wrapped__ is the uncached search (_search_data over every root)."""
+    return tuple(_search_data(_root_table(w)[0], mu))
+
+
+def _search_data(betas, mu):
+    """Every tuple m with sum_k m_k betas[k] = mu, sorted rlex.  The
+    search picks the last entry first and drops a branch as soon as the
+    weight left has a positive coordinate that no root still to pick
+    supports."""
     rank = len(mu)
-    N = len(betas)
+    # unsupported[k]: the coordinates that no betas[0] ... betas[k-1] supports
+    unsupported = [tuple(range(rank))]
+    for b in betas:
+        unsupported.append(tuple(t for t in unsupported[-1] if not b[t]))
     out = []
 
     def search(k, remaining, acc):
@@ -222,15 +254,34 @@ def _data_of_weight(w, mu):
                    acc)
             acc.pop()
 
-    search(N - 1, mu, [])
+    search(len(betas) - 1, tuple(mu), [])
     # the search emits ascending in the last coordinate first: sort rlex
     out.sort(key=lambda m: tuple(reversed(m)))
-    return tuple(out)
+    return out
+
+
+def _data_inside(w, k, kp):
+    """The data of weight beta_k + beta_k' (k < k') supported on
+    k+1 ... k'-1, sorted rlex: the search runs over those roots only."""
+    betas = _root_table(w)[0]
+    mu = tuple(a + b for a, b in zip(betas[k - 1], betas[kp - 1]))
+    left, right = (0,) * k, (0,) * (len(betas) - kp + 1)
+    return [left + m + right for m in _search_data(betas[k:kp - 1], mu)]
 
 
 def pairing_em_fn(w, m, n):
-    """(E(m), F(n)) through the Hopf pairing."""
-    return pairing(pbw_monomial(w, m), f_pbw_monomial(w, n))
+    """(E(m), F(n)) through the Hopf pairing, on the cached plain sums."""
+    return _pairing_f(_plain_monomial(w, check_datum(w, m)), w,
+                      check_datum(w, n))
+
+
+def _pairing_f(x, w, n, scale=ONE):
+    """scale (x, F(n)) for a PlainSum x and a checked datum n, as one
+    RatScalar: x is walked along the plain words of E(n), which are those
+    of omega(E(n)), and F(n)'s unit joins scale (_f_unit)."""
+    a, odd = _f_unit(w, n)
+    return plain_pairing(w.datum, x, _plain_monomial(w, n),
+                         (-scale if odd else scale).shift(a))
 
 
 @cache
@@ -276,23 +327,25 @@ def dual_pbw_normalizer(w, m):
 
 
 def _pbw_coordinate(x, w, m):
-    """c_m = (x, F(m))/(E(m), F(m)) for x homogeneous of the weight of m."""
+    """c_m = (x, F(m))/(E(m), F(m)) = (x, F(m)) f_m u_m for a PlainSum x
+    of the weight of m, as one RatScalar."""
     f, u = _normalizer_pair(w, m)
-    return pairing(x, f_pbw_monomial(w, m)) * f * u
+    return _pairing_f(x, w, m, f.num * u.num)
 
 
-def _dual_coordinate(x, w, m):
-    """c_m / f_m = (x, F(m)) u_m, the coordinate of x on E(m)* = f_m E(m)."""
-    return pairing(x, f_pbw_monomial(w, m)) * _normalizer_pair(w, m)[1]
+def _dual_coordinate(x, w, m, scale):
+    """scale c_m / f_m = scale (x, F(m)) u_m, with c_m / f_m the
+    coordinate of the PlainSum x on E(m)* = f_m E(m), as one RatScalar."""
+    return _pairing_f(x, w, m, scale * _normalizer_pair(w, m)[1].num)
 
 
 def pbw_coordinates(x, w):
     """The expansion x = sum c_m E(m) via c_m = (x, F(m))/(E(m), F(m)),
     as a dict {datum: RatScalar} of the nonzero coordinates."""
     coeffs = {}
-    for mu, comp in x.homogeneous_components().items():
+    for mu, p in plain_sums(x).items():
         for m in _data_of_weight(w, mu):
-            c = _pbw_coordinate(comp, w, m)
+            c = _pbw_coordinate(p, w, m)
             if not c.is_zero():
                 coeffs[m] = c
     return coeffs
@@ -358,15 +411,17 @@ def straighten_commutator(w, k, kp):
     E*_k' E*_k = q^{-(beta_k, beta_k')} (E*_k E*_k' - sum_m S*[m] E(m)*).
 
     With lead = e_k + e_k', E*_k E*_k' = f_lead E(lead), so only the
-    reversed product x = E_{beta_k'} E_{beta_k} is paired.  Its PBW
-    coefficient on lead must be q^{-(beta_k, beta_k')}, else
-    StraighteningError.  By the convexity of Levendorskii-Soibelman
-    (Comm. Math. Phys. 139, 1991) the rest of its support lies strictly
-    between k and k', so it is paired only against lead and the data of
-    that weight supported inside (k, k').  Scaling x = sum_m c_m E(m) by
-    f_lead turns each E(m) into E(m)*/f_m, and c_m = (x, F(m)) f_m u_m,
-    so f_m cancels: S*[m] = -q^{(beta_k, beta_k')} f_lead (x, F(m)) u_m
-    (_dual_coordinate).  Raises NonLaurentStraightening if a coefficient
+    reversed product x = E_{beta_k'} E_{beta_k}, the concatenated plain
+    sums of the two root vectors, is paired.  Its PBW coefficient on lead
+    must be q^{-(beta_k, beta_k')}, else StraighteningError.  By the
+    convexity of Levendorskii-Soibelman (Comm. Math. Phys. 139, 1991) the
+    rest of its support lies strictly between k and k', so it is paired
+    only against lead and the data of that weight supported inside
+    (k, k'), which _data_inside finds among those roots alone.  Scaling
+    x = sum_m c_m E(m) by f_lead turns each E(m) into E(m)*/f_m, and
+    c_m = (x, F(m)) f_m u_m, so f_m cancels:
+    S*[m] = -q^{(beta_k, beta_k')} f_lead (x, F(m)) u_m
+    (_dual_coordinate, one RatScalar per datum).  Raises NonLaurentStraightening if a coefficient
     is not in Z[q, q^-1].
     """
     if not 1 <= k < kp <= len(w.word):
@@ -374,23 +429,22 @@ def straighten_commutator(w, k, kp):
     N = len(w.word)
     lead = tuple(1 if t in (k - 1, kp - 1) else 0 for t in range(N))
     b = _root_table(w)[1][k - 1][kp - 1]
-    x = root_vector(w, kp) * root_vector(w, k)
+    x = _plain_root_vector(w, kp) * _plain_root_vector(w, k)
     lead_b = _pbw_coordinate(x, w, lead)
     if lead_b != RatScalar.q_power(-b):
         raise StraighteningError(
             "coefficient of %s in E_%d E_%d of %s is %s, not q^%d"
             % (render_datum(lead), kp, k, w.render(), lead_b.render(), -b))
-    scale = _normalizer_pair(w, lead)[0] * RatScalar.q_power(b, -1)
+    scale = -_normalizer_pair(w, lead)[0].num.shift(b)
     out = {}
-    for m in _data_of_weight(w, weight_tuple(w, lead)):
-        if not any(m[:k]) and not any(m[kp - 1:]):
-            c = scale * _dual_coordinate(x, w, m)
-            if not c.is_laurent():
-                raise NonLaurentStraightening(
-                    "S* of E*_%d E*_%d on %s has %s at %s"
-                    % (kp, k, w.render(), c.render(), render_datum(m)))
-            if not c.is_zero():
-                out[m] = c.as_laurent()
+    for m in _data_inside(w, k, kp):
+        c = _dual_coordinate(x, w, m, scale)
+        if not c.is_laurent():
+            raise NonLaurentStraightening(
+                "S* of E*_%d E*_%d on %s has %s at %s"
+                % (kp, k, w.render(), c.render(), render_datum(m)))
+        if not c.is_zero():
+            out[m] = c.as_laurent()
     return out
 
 

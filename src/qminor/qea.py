@@ -1,12 +1,16 @@
 """Words and expressions in U_q(n), triangular elements of U_q(g),
 the Hopf pairing, and canonical forms.
 
-Elements of U_q(n) are Q(q)-combinations of divided-power words.
-Equality is decided by the vector of pairings against all plain F-words
-of the weight (the pairing is nondegenerate), computed in one walk of
-q-derivations D_b over the merged plain-word sum of the element, never
-by rewriting modulo the quantum Serre relations, so no Groebner
-machinery appears.
+Elements of U_q(n) are read and written as WordExprs, Q(q)-combinations
+of divided-power words.  The PBW machinery and the pairing compute with
+PlainSums instead: plain words with numerators in Z[q, q^-1] over one
+Laurent denominator, multiplied by concatenating words and never reduced
+term by term.  pbw builds its root vectors and PBW monomials as
+PlainSums, and the Hopf pairing turns each side into PlainSums and walks
+q-derivations D_b over them.  Equality is decided by the vector of
+pairings against all plain F-words of the weight (the pairing is
+nondegenerate), computed in the same way, never by rewriting modulo the
+quantum Serre relations, so no Groebner machinery appears.
 
 The Hopf pairing follows one fixed convention, stated where it is used
 (the Hopf pairing section and pairing).  The memos are
@@ -15,8 +19,9 @@ functools.cache wrappers that live as long as the process.
 
 from functools import cache
 
-from .scalars import (LaurentPoly, RatScalar, ONE, add_term,
-                      join_signed, quantum_factorial, quantum_binomial)
+from .scalars import (LaurentPoly, RatScalar, ZERO, ONE, add_term,
+                      join_signed, laurent_gcd, quantum_factorial,
+                      quantum_binomial, _exact_divide)
 from .rootdata import form
 
 
@@ -518,7 +523,42 @@ def tri_mul(x, y):
 #   D_b(u) = sum_{t: u_t = b} q^-(sum_{r<t} (alpha_{u_r}, alpha_b)) u^(t),
 # u^(t) being u without its letter t (Lusztig, Introduction to Quantum
 # Groups, 1.2.13), and (E_a, F_a) = 1/(1 - q_a^-2).  D_b is linear, so it
-# runs over a whole merged sum.
+# runs over a whole plain-word sum.
+
+class PlainSum:
+    """A homogeneous element (1/den) sum_u terms[u] X_u of the free algebra
+    on the letters of one side: X_u is the plain word u (E_u or F_u, every
+    letter to the first power), terms[u] a nonzero Laurent polynomial and
+    den one Laurent denominator, with no reduction between them.
+
+    The words of one weight have one length, so concatenation is injective
+    on pairs of words: a product merges no two terms, and the product of
+    two sums with their terms in lexicographic order has its terms in
+    lexicographic order.
+    """
+
+    __slots__ = ("weight", "terms", "den")
+
+    def __init__(self, weight, terms, den=ONE):
+        self.weight = weight
+        self.terms = terms
+        self.den = den
+
+    def __mul__(self, other):
+        return PlainSum(_vec_add(self.weight, other.weight),
+                        {u + v: a * b for u, a in self.terms.items()
+                         for v, b in other.terms.items()},
+                        self.den * other.den)
+
+    def word_expr(self, datum, side="E", unit=ONE):
+        """unit times the sum as a WordExpr of divided-power words, term
+        for term and in term order, with one RatScalar per term."""
+        terms = {}
+        for u, c in self.terms.items():
+            word, factor = canonicalize_word(datum, plain_to_pairs(u))
+            terms[word] = RatScalar(c * factor * unit, self.den)
+        return WordExpr(datum, terms, side)
+
 
 @cache
 def _plain_form(datum, word):
@@ -538,8 +578,9 @@ def _plain_form(datum, word):
 
 @cache
 def _weight_factors(datum, mu):
-    """([mu]!, prod_i (1 - q_i^-2)^mu_i): the denominator of a sum merged
-    at weight mu, and that of the generator factor prod_i (E_i, F_i)^mu_i."""
+    """([mu]!, prod_i (1 - q_i^-2)^mu_i): the denominator that a weight mu
+    adds to the plain sum of divided-power words, and that of the
+    generator factor prod_i (E_i, F_i)^mu_i."""
     fact = content = ONE
     for i, c in enumerate(mu, start=1):
         if c:
@@ -549,32 +590,82 @@ def _weight_factors(datum, mu):
     return fact, content
 
 
-def _merge_plain(datum, items):
-    """({weight mu: {(bucket, plain word): LaurentPoly}}, buckets) from
-    (tag, divided-power word, c) items; buckets[bucket] = (tag, den) with
-    den the denominator of c.  Over den [mu]!, a word adds num(c) times
-    its multinomial (_plain_form) to its plain word, unreduced."""
-    buckets, out = {}, {}
+def _plain_sums(datum, items):
+    """{(tag, weight mu): PlainSum} from (tag, divided-power word, c)
+    items, with the terms of each sum in lexicographic order.  Each tag
+    and weight gets the one denominator L [mu]!, L the lcm of the
+    denominators of its c; a word adds num(c) L/den(c) times its
+    multinomial (_plain_form) to its plain word."""
+    groups = {}
     for tag, word, c in items:
         plain, mu, factor = _plain_form(datum, word)
-        add_term(out.setdefault(mu, {}),
-                 (buckets.setdefault((tag, c.den), len(buckets)), plain),
-                 c.num * factor)
-    return out, list(buckets)
+        groups.setdefault((tag, mu), []).append((plain, c, factor))
+    out = {}
+    for (tag, mu), group in groups.items():
+        lcm = ONE
+        for d in {c.den for _, c, _ in group}:
+            if lcm.is_one():
+                lcm = d
+            elif not d.is_one():
+                lcm = lcm * _exact_divide(d, laurent_gcd(lcm, d))
+        terms = {}
+        for plain, c, factor in group:
+            add_term(terms, plain, c.num * _exact_divide(lcm, c.den) * factor)
+        out[tag, mu] = PlainSum(mu, dict(sorted(terms.items())),
+                                lcm * _weight_factors(datum, mu)[0])
+    return out
+
+
+def plain_sums(x):
+    """{weight: PlainSum} of a WordExpr, one sum per weight (_plain_sums)."""
+    return {mu: p for (_, mu), p in _plain_sums(
+        x.datum, [((), w, c) for w, c in x.terms.items()]).items()}
 
 
 def _derive(datum, state, b):
-    """D_b on every plain word of state {(bucket, word): LaurentPoly},
-    with equal results merged and zero sums dropped."""
+    """D_b on every plain word of state {plain word: LaurentPoly}, with
+    equal results merged and zero sums dropped."""
     row = datum.form_matrix[b - 1]
     out = {}
-    for (bucket, u), c in state.items():
+    for u, c in state.items():
         run = 0
         for t, a in enumerate(u):
             if a == b:
-                add_term(out, (bucket, u[:t] + u[t + 1:]), c.shift(run))
+                add_term(out, u[:t] + u[t + 1:], c.shift(run))
             run -= row[a - 1]
     return out
+
+
+def _walk(datum, x, ys):
+    """sum_v c_v core(x, v) over the (plain F-word v, c_v) pairs ys, for
+    x {plain E-word: LaurentPoly}: x is carried through D_b along each v,
+    and the prefix that v shares with the word before it is derived once,
+    so with ys in lexicographic order each prefix is derived once."""
+    total = ZERO
+    stack, prev = [x], ()
+    for v, cy in ys:
+        n = 0
+        while n < len(prev) and prev[n] == v[n]:
+            n += 1
+        del stack[n + 1:]
+        for b in v[n:]:
+            stack.append(_derive(datum, stack[-1], b))
+        prev = v
+        end = stack[-1].get(())
+        if end is not None:
+            total = total + end * cy
+    return total
+
+
+def plain_pairing(datum, x, y, scale=ONE):
+    """scale (x, y) for a PlainSum x on the E side and a PlainSum y on the
+    F side, as one RatScalar: scale num / (den(x) den(y) content), with
+    num from the walk along the terms of y in their order (_walk) and
+    1/content = prod_a (E_a, F_a) the generator factor of the weight."""
+    if x.weight != y.weight:
+        return RatScalar.zero()
+    return RatScalar(_walk(datum, x.terms, y.terms.items()) * scale,
+                     x.den * y.den * _weight_factors(datum, x.weight)[1])
 
 
 def pairing(x, y):
@@ -584,11 +675,9 @@ def pairing(x, y):
     y: WordExpr (side F) or TriExpr with terms F-word * K_mu.
     The K parts pair as (K_lam, K_mu) = q^{-(lam, mu)}.
 
-    Both sides are merged per weight (_merge_plain), one bucket per K part
-    and denominator.  The x-sum is carried through D_b along the sorted
-    plain F-words of y, each common prefix derived once; at the end of a
-    word it pairs with that word's numerators.  One RatScalar is built per
-    denominator of the total with a nonzero numerator.
+    Each side becomes one PlainSum per K part and weight (_plain_sums),
+    and each pair of sums of one weight is paired by plain_pairing, so one
+    RatScalar is built per such pair.
     """
     if isinstance(x, WordExpr):
         if x.side != "E":
@@ -605,32 +694,13 @@ def pairing(x, y):
         raise ValueError("first pairing argument has F content")
     if any(e2 for _, _, e2 in y.terms):
         raise ValueError("second pairing argument has E content")
-    xs, xb = _merge_plain(datum, [(lam, e1, c1)
-                                  for (_, lam, e1), c1 in x.terms.items()])
-    ys, yb = _merge_plain(datum, [(mu, f2, c2)
-                                  for (f2, mu, _), c2 in y.terms.items()])
-    parts = {}
-    for wt, ysum in ys.items():
-        if not xs.get(wt):
-            continue
-        nums = {}
-        stack, prev = [xs[wt]], ()
-        for (j, v), cy in sorted(ysum.items(), key=lambda item: item[0][1]):
-            n = 0
-            while n < len(prev) and prev[n] == v[n]:
-                n += 1
-            del stack[n + 1:]
-            for b in v[n:]:
-                stack.append(_derive(datum, stack[-1], b))
-            prev = v
-            for (i, _), cx in stack[-1].items():
-                add_term(nums, (i, j), cx * cy)
-        fact, content = _weight_factors(datum, wt)
-        for (i, j), num in nums.items():
-            (lam, d1), (mu, d2) = xb[i], yb[j]
-            add_term(parts, d1 * d2 * fact * fact * content,
-                     num.shift(-form(datum, lam, mu)))
-    vals = [RatScalar(num, den) for den, num in parts.items()]
+    xs = _plain_sums(datum, [(lam, e1, c1)
+                             for (_, lam, e1), c1 in x.terms.items()])
+    ys = _plain_sums(datum, [(mu, f2, c2)
+                             for (f2, mu, _), c2 in y.terms.items()])
+    vals = [plain_pairing(datum, xp, yp).shift(-form(datum, lam, mu))
+            for (lam, wt), xp in xs.items()
+            for (mu, wt2), yp in ys.items() if wt == wt2]
     return sum(vals[1:], vals[0]) if vals else RatScalar.zero()
 
 
@@ -671,10 +741,9 @@ class CanonicalForm:
 
 def canonical_form(x):
     """The pairing vector of a homogeneous UPlusExpr, in one walk: from
-    the merged plain-word sum of x, D_b for every letter b at every depth,
-    a branch pruned as soon as its sum vanishes.  The words reached at
-    full depth are the plain words w with (x, F_w) != 0, in lexicographic
-    order."""
+    the plain sum of x, D_b for every letter b at every depth, a branch
+    pruned as soon as its sum vanishes.  The words reached at full depth
+    are the plain words w with (x, F_w) != 0, in lexicographic order."""
     if x.side != "E":
         raise ValueError("canonical_form expects an E-side expression")
     datum = x.datum
@@ -682,24 +751,20 @@ def canonical_form(x):
         return CanonicalForm(datum, (0,) * datum.rank, {})
     mu = x.weight()
     height = sum(mu)
-    fact, content = _weight_factors(datum, mu)
+    (p,) = plain_sums(x).values()
+    den = p.den * _weight_factors(datum, mu)[1]
     entries = {}
 
     def visit(word, state):
         if len(word) == height:
-            vals = [RatScalar(num, buckets[i][1] * fact * content)
-                    for (i, _), num in state.items()]
-            entries[word] = sum(vals[1:], vals[0])
+            entries[word] = RatScalar(state[()], den)
             return
         for b in datum.indices:
             nxt = _derive(datum, state, b)
             if nxt:
                 visit(word + (b,), nxt)
 
-    sums, buckets = _merge_plain(datum, [((), w, c)
-                                         for w, c in x.terms.items()])
-    (state,) = sums.values()
-    visit((), state)
+    visit((), p.terms)
     return CanonicalForm(datum, mu, entries)
 
 

@@ -10,19 +10,24 @@ from qminor.scalars import LaurentPoly, RatScalar
 
 
 @pytest.fixture
-def non_laurent_commutator(monkeypatch):
-    """Divide every dual coordinate that straighten_commutator pairs out
-    below its leading datum by 1 + q + q^2, so each nonempty S* is
-    non-Laurent and the leading-coefficient check still passes.  The S*
-    cache and the letter-times-datum table are swapped for empty ones, in
-    every module that reads them, so nothing cached before the test hides
-    the patch, and nothing the patch computes outlives it."""
-    orig = qminor.pbw._dual_coordinate
-    den = RatScalar(LaurentPoly.from_int(1), LaurentPoly({0: 1, 1: 1, 2: 1}))
-    monkeypatch.setattr(qminor.pbw, "_dual_coordinate",
-                        lambda x, w, m: orig(x, w, m) * den)
+def fresh_straightening(monkeypatch):
+    """Swap the S* cache and the letter-times-datum table for empty ones,
+    in every module that reads them, so nothing cached before the test
+    hides a patch of the straightening, and nothing the patch computes
+    outlives the test."""
     fresh = functools.cache(qminor.pbw.straighten_commutator.__wrapped__)
     for module in (qminor.pbw, qminor.canonical):
         monkeypatch.setattr(module, "straighten_commutator", fresh)
     fresh = functools.cache(qminor.canonical._letter_times_datum.__wrapped__)
     monkeypatch.setattr(qminor.canonical, "_letter_times_datum", fresh)
+
+
+@pytest.fixture
+def non_laurent_commutator(monkeypatch, fresh_straightening):
+    """Divide every dual coordinate that straighten_commutator pairs out
+    below its leading datum by 1 + q + q^2, so each nonempty S* is
+    non-Laurent and the leading-coefficient check still passes."""
+    orig = qminor.pbw._dual_coordinate
+    den = RatScalar(LaurentPoly.from_int(1), LaurentPoly({0: 1, 1: 1, 2: 1}))
+    monkeypatch.setattr(qminor.pbw, "_dual_coordinate",
+                        lambda *args: orig(*args) * den)

@@ -4,16 +4,19 @@ and every product built on canonical's table of E*_l E(m)*.
 
 It pairs out its own straightening law, S in PBW coordinates, and
 bubble-sorts any sequence of root-vector letters with it, one adjacent
-inversion at a time, over Q(q).  No part of it reads S* or the letter
-table.
+inversion at a time, over Q(q).  Its root vectors and coordinates are the
+WordExpr products of tests/word_product_oracle.py.  No part of it reads
+S*, the letter table or pbw's plain-word sums.
 """
 
 from functools import cache
 
 from qminor.pbw import (StraighteningError, _data_of_weight,
-                        _letters_of_datum, _pbw_coordinate, _root_norm,
-                        _root_table, render_datum, root_vector, weight_tuple)
+                        _letters_of_datum, _root_norm, _root_table,
+                        render_datum, weight_tuple)
 from qminor.scalars import RatScalar, add_term, quantum_factorial
+
+from word_product_oracle import oracle_pbw_coordinate, oracle_root_vector
 
 
 @cache
@@ -32,8 +35,8 @@ def pbw_straighten_commutator(w, k, kp):
     N = len(w.word)
     lead = tuple(1 if t in (k - 1, kp - 1) else 0 for t in range(N))
     b = _root_table(w)[1][k - 1][kp - 1]
-    x = root_vector(w, kp) * root_vector(w, k)
-    lead_b = _pbw_coordinate(x, w, lead)
+    x = oracle_root_vector(w, kp) * oracle_root_vector(w, k)
+    lead_b = oracle_pbw_coordinate(x, w, lead)
     if lead_b != RatScalar.q_power(-b):
         raise StraighteningError(
             "coefficient of %s in E_%d E_%d of %s is %s, not q^%d"
@@ -42,7 +45,7 @@ def pbw_straighten_commutator(w, k, kp):
     out = {}
     for m in _data_of_weight(w, weight_tuple(w, lead)):
         if not any(m[:k]) and not any(m[kp - 1:]):
-            c = _pbw_coordinate(x, w, m)
+            c = oracle_pbw_coordinate(x, w, m)
             if not c.is_zero():
                 out[m] = scale * c
     return out

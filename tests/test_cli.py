@@ -263,20 +263,20 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: unexpected\n"
 
 
-def test_braid_convention_bug_exits_3(monkeypatch, capsys):
-    # NotInUqn is an ArithmeticError: an internal error, not bad input
+def test_straightening_error_exits_3(fresh_straightening, monkeypatch,
+                                     capsys):
+    # a wrong leading coefficient of a reversed root-vector product raises
+    # StraighteningError, an ArithmeticError: an internal error, not bad
+    # input
     import qminor.pbw
-    from qminor.qea import TriExpr
-
-    def leaky(w, m):
-        # a braid image that kept its F part
-        return TriExpr.f_gen(w.datum, 1).project_uplus()
-
-    monkeypatch.setattr(qminor.pbw, "f_pbw_monomial", leaky)
-    code, out, err = run_cli(["pbw", "coords", "--type", "A2",
-                              "--expr", "E1*E2"], capsys)
+    coord = qminor.pbw._pbw_coordinate
+    monkeypatch.setattr(qminor.pbw, "_pbw_coordinate",
+                        lambda x, w, m: coord(x, w, m) * 2)
+    code, out, err = run_cli(["mult-scan", "--type", "A2",
+                              "--orientation", "2>1", "--height", "2"],
+                             capsys)
     assert code == 3 and out == ""
-    assert err.startswith("internal error: NotInUqn: ")
+    assert err.startswith("internal error: StraighteningError: ")
     assert err.count("\n") == 1
 
 

@@ -4,6 +4,7 @@ normalizers, the d- and c-forms, straightening and the Ext order."""
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qminor.pbw
 
@@ -29,6 +30,9 @@ from qminor.quiver import adapted_word, all_orientations
 from braid_oracle import (braid_T, braid_chain, braid_root_vector,
                           braid_f_root_vector)
 from weight_oracle import frac_form, frac_weyl_act
+from word_product_oracle import (oracle_pairing_em_fn, oracle_pbw_coordinates,
+                                 oracle_pbw_monomial, oracle_root_vector,
+                                 oracle_straighten_commutator)
 
 A2 = CartanDatum("A2")
 A3 = CartanDatum("A3")
@@ -434,6 +438,119 @@ def test_root_units_match_single_root_pairing(label):
             d = pairing_em_fn(w, e, e) * (ONE - qp(_root_norm(w, k)))
             assert _normalizer_pair(w, e)[1] == RatScalar.one() / d, \
                 (w.word, k)
+
+
+# -- plain-word sums against the WordExpr products ----------------------------
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "A3", "A4", "D4"])
+def test_root_vector_view_matches_word_product_oracle(label):
+    # the view of each plain root vector against the q-commutator rule in
+    # WordExpr products: equal in U_q(n), and term for term
+    for w in _mirror_words(label):
+        for k in range(1, len(w.word) + 1):
+            got, want = root_vector(w, k), oracle_root_vector(w, k)
+            assert canonical_form(got) == canonical_form(want), (w.word, k)
+            assert got == want, (w.word, k)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "A3"])
+def test_pbw_monomial_view_matches_word_product_oracle(label):
+    # every datum up to height 3 on every reduced word
+    datum = CartanDatum(label)
+    for w in all_reduced_words_for_w0(datum):
+        for mu in weights_up_to(datum, 3):
+            for m in data_of_weight(w, mu):
+                got, want = pbw_monomial(w, m), oracle_pbw_monomial(w, m)
+                assert canonical_form(got) == canonical_form(want), \
+                    (w.word, m)
+                assert got == want, (w.word, m)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "A3"])
+def test_pairing_em_fn_matches_word_product_oracle(label):
+    # every pair of data of one weight, up to height 4, on the standard
+    # words
+    datum = CartanDatum(label)
+    for w in standard_words(datum):
+        for mu in weights_up_to(datum, 4):
+            data = data_of_weight(w, mu)
+            for m in data:
+                for n in data:
+                    assert pairing_em_fn(w, m, n) == \
+                        oracle_pairing_em_fn(w, m, n), (w.word, m, n)
+
+
+_E_COEFFS = [RatScalar.one(), qp(-1, 2), qp(3), qp(-2, -1),
+             RatScalar(ONE, LaurentPoly({0: 1, 2: 1})),
+             RatScalar(LaurentPoly({1: 1, -1: -1}),
+                       LaurentPoly({0: 1, 1: 1, 2: 1})),
+             RatScalar(LaurentPoly.q_power(-1), LaurentPoly({0: 2, 4: -1}))]
+
+
+@st.composite
+def _e_side_elements(draw):
+    """(reduced word, WordExpr) on any reduced word of A2, B2 or A3: up to
+    five orderings of one multiset of at most four letters, grouped into
+    divided powers, so that several denominators meet in one weight, and
+    up to two terms of other weights, with non-Laurent coefficients."""
+    datum = draw(st.sampled_from([A2, B2, A3]))
+    w = draw(st.sampled_from(all_reduced_words_for_w0(datum)))
+    letters = draw(st.lists(st.sampled_from(datum.indices), min_size=1,
+                            max_size=4))
+    words = draw(st.lists(st.permutations(letters), max_size=5))
+    words += draw(st.lists(st.lists(st.sampled_from(datum.indices),
+                                    min_size=1, max_size=3), max_size=2))
+    x = WordExpr.zero(datum)
+    for word in words:
+        term = WordExpr.one(datum)
+        for i in word:
+            term = term * E(datum, i)
+        x = x + term.scale(draw(st.sampled_from(_E_COEFFS)))
+    return w, x
+
+
+@settings(max_examples=120, deadline=None)
+@given(_e_side_elements())
+def test_pbw_coordinates_match_word_product_oracle(case):
+    w, x = case
+    assert pbw_coordinates(x, w) == oracle_pbw_coordinates(x, w)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "A3", "A4", "D4"])
+def test_data_inside_matches_filtered_search(label):
+    # the search over the roots k+1 ... k'-1 against every datum of the
+    # weight beta_k + beta_k', filtered to that support, in rlex order;
+    # every reduced word of A2, B2 and A3, the standard and adapted words
+    # of A4 and D4
+    datum = CartanDatum(label)
+    words = (all_reduced_words_for_w0(datum) if datum.rank <= 3
+             else _standard_and_adapted_words(datum))
+    for w in words:
+        N = len(w.word)
+        for k in range(1, N + 1):
+            for kp in range(k + 1, N + 1):
+                mu = tuple(a + b for a, b in
+                           zip(w.betas[k - 1], w.betas[kp - 1]))
+                assert qminor.pbw._data_inside(w, k, kp) == [
+                    m for m in data_of_weight(w, mu)
+                    if not any(m[:k]) and not any(m[kp - 1:])], \
+                    (w.word, k, kp)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "A3"])
+def test_straighten_commutator_matches_word_product_oracle(label):
+    # S* from the plain sums against S* from WordExpr products, paired by
+    # qea.pairing over the filtered full search, on every reduced word
+    # (CI runs every reduced word of A4 and the adapted words of D4)
+    for w in all_reduced_words_for_w0(CartanDatum(label)):
+        N = len(w.word)
+        for k in range(1, N + 1):
+            for kp in range(k + 1, N + 1):
+                got = straighten_commutator(w, k, kp)
+                assert got == oracle_straighten_commutator(w, k, kp), \
+                    (w.word, k, kp)
+                assert list(got) == list(
+                    oracle_straighten_commutator(w, k, kp)), (w.word, k, kp)
 
 
 # -- bilinear forms on data ----------------------------------------------------

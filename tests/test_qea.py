@@ -296,6 +296,12 @@ def test_pairing_matches_oracle_off_weight_and_with_k_parts():
          + F(B2, 1).scale(qp(1)) + F(B2, 2, 2))
     assert pairing(x, y) == _oracle_pairing(x, y)
     assert not pairing(x, y).is_zero()
+    # two different denominators, neither 1, on each side of one weight
+    c1, c2 = _COEFFS[4], _COEFFS[5]
+    x = (E(B2, 1) * E(B2, 2)).scale(c1) + (E(B2, 2) * E(B2, 1)).scale(c2)
+    y = (F(B2, 2) * F(B2, 1)).scale(c1) + (F(B2, 1) * F(B2, 2)).scale(c2)
+    assert pairing(x, y) == _oracle_pairing(x, y)
+    assert not pairing(x, y).is_zero()
     # (K_lam, K_mu) on every pair of simple roots and their negatives
     for datum in (A2, B2):
         ks = [datum.alpha(i, s) for i in datum.indices for s in (1, -1)]
