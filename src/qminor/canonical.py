@@ -16,7 +16,7 @@ from .qea import WordExpr
 from .pbw import (pbw_monomial, dual_pbw_normalizer, data_of_weight,
                   check_datum, weight_tuple, render_datum,
                   rlex_less, pbw_coordinates, straighten_commutator,
-                  _letters_of_datum, _root_table)
+                  _record, _root_table)
 
 
 class NotUnitriangular(ArithmeticError):
@@ -75,29 +75,13 @@ def pbw_to_dual_coords(w, coords):
     return {m: c / dual_pbw_normalizer(w, m) for m, c in coords.items()}
 
 
-def _letter_exponent(w, m):
-    """e(m) = sum_k d_k m_k (m_k - 1)/2 with d_k = (beta_k, beta_k)/2, so
-    that E(m)* = q^e(m) E*_1^m_1 ... E*_N^m_N, where E*_k = (1 - q^(beta_k,
-    beta_k)) E_{beta_k} = E(e_k)*.
-
-    Proof, from Lusztig's product formula f_m = prod_k prod_{s=1..m_k}
-    (1 - q^{2 s d_k}): E_{beta_k}^c = [c]_{d_k}! E_{beta_k}^(c), and
-    q^{ds} - q^{-ds} = -q^{-ds} (1 - q^{2ds}) gives (1 - q^{2d}) [s]_d =
-    q^{d(1-s)} (1 - q^{2ds}), so E*_k^c = q^{-d_k c(c-1)/2} prod_{s=1..c}
-    (1 - q^{2 s d_k}) E_{beta_k}^(c); in word order these multiply to
-    q^-e(m) f_m E(m) = q^-e(m) E(m)*.
-    """
-    gram = _root_table(w)[1]
-    return sum(gram[k][k] // 2 * c * (c - 1) // 2 for k, c in enumerate(m))
-
-
 @cache
 def _letter_times_datum(w, l, m):
     """T(l, m) = E*_l E(m)* in dual-PBW coordinates {datum: LaurentPoly}.
 
     Let x be the first letter of m.  If m = 0 or l <= x, E*_l E(m)* is
     q^e(m) times the sorted letters of m + e_l, so q^-(d_l m_l) E(m + e_l)*
-    (_letter_exponent).  Otherwise, with r = m - e_x, E(m)* =
+    (e(m) of pbw._record).  Otherwise, with r = m - e_x, E(m)* =
     q^(d_x (m_x - 1)) E*_x E(r)*, and the swap law of straighten_commutator
     gives T(l, m) = q^(d_x (m_x - 1) - (beta_x, beta_l)) (E*_x T(l, r)
     - sum_s S*[s] E(s)* E(r)*).  The letters of s lie strictly between x
@@ -113,8 +97,9 @@ def _letter_times_datum(w, l, m):
     r = m[:x - 1] + (m[x - 1] - 1,) + m[x:]
     acc = _push_letters(w, (x,), _letter_times_datum(w, l, r))
     for s, c in straighten_commutator(w, x, l).items():
-        sr = {r: -c.shift(_letter_exponent(w, s))}
-        for d, v in _push_letters(w, _letters_of_datum(s), sr).items():
+        rec = _record(w, s)
+        sr = {r: -c.shift(rec.e)}
+        for d, v in _push_letters(w, rec.letters, sr).items():
             add_term(acc, d, v)
     e = gram[x - 1][x - 1] // 2 * (m[x - 1] - 1) - gram[x - 1][l - 1]
     return {d: c.shift(e) for d, c in acc.items()}
@@ -137,23 +122,23 @@ def dual_product(w, ca, cb):
     of each E(m)* of ca pushed into the whole of cb, times q^e(m)."""
     out = {}
     for m, cm in ca.items():
-        pref = cm.shift(_letter_exponent(w, m))
-        for d, c in _push_letters(w, _letters_of_datum(m), cb).items():
+        rec = _record(w, m)
+        pref = cm.shift(rec.e)
+        for d, c in _push_letters(w, rec.letters, cb).items():
             add_term(out, d, pref * c)
     return out
 
 
 def _sigma_eta_unit(w, n):
-    """q^-e(n) prod_k s_{beta_k}^{n_k}, a signed power of q, with the
-    exponent and sign of each s_beta (eigen_scalar) summed as ints."""
-    betas, gram = _root_table(w)
-    exp, odd = -_letter_exponent(w, n), 0
-    for k, c in enumerate(n):
-        if c:
-            exp -= c * (gram[k][k] // 2
-                        + sum(x * d for x, d in zip(betas[k], w.datum.d)))
-            odd += c * sum(betas[k])
-    return LaurentPoly.q_power(exp, -1 if odd % 2 else 1)
+    """q^-e(n) prod_k s_{beta_k}^{n_k}, a signed power of q: the exponent
+    of s_beta (eigen_scalar) is linear in beta but for its term
+    -(beta, beta)/2, and its sign is (-1)^ht beta, so both sum over n
+    through its weight and letters (pbw._record)."""
+    gram = _root_table(w)[1]
+    rec = _record(w, n)
+    exp = -rec.e - sum(x * d for x, d in zip(rec.weight, w.datum.d))
+    exp -= sum(gram[l - 1][l - 1] // 2 for l in rec.letters)
+    return LaurentPoly.q_power(exp, -1 if sum(rec.weight) % 2 else 1)
 
 
 def sigma_eta_dual_coords(w, coords):
@@ -162,13 +147,14 @@ def sigma_eta_dual_coords(w, coords):
     E*_1^{n_1}, the reversed letters of n.  Proof: (1) B(e_k)* = E*_k
     (Prop 2.1), so the twisted bar fixes E*_k and sigma_eta(E*_k) =
     s_{beta_k} E*_k; (2) E(n)* = q^e(n) E*_1^{n_1} ... E*_N^{n_N}
-    (_letter_exponent); (3) sigma_eta is a bar-linear antiautomorphism,
+    (e(n) of pbw._record); (3) sigma_eta is a bar-linear antiautomorphism,
     so it turns q^e(n) into q^-e(n) and reverses the letters, each
     rescaled by (1)."""
     acc = {}
     for n, c in coords.items():
         col = {(0,) * len(n): c.bar() * _sigma_eta_unit(w, n)}
-        for m, v in _push_letters(w, _letters_of_datum(n)[::-1], col).items():
+        for m, v in _push_letters(w, _record(w, n).letters[::-1],
+                                  col).items():
             add_term(acc, m, v)
     return acc
 

@@ -15,7 +15,8 @@ canonical's per-word table of E*_l E(m)*.
 
 from .scalars import ZERO
 from .rootdata import weights_up_to
-from .pbw import d_form, weight_tuple, data_of_weight, render_datum
+from .pbw import (d_form, weight_tuple, data_of_weight, render_datum, _d,
+                  _record)
 from .canonical import (dual_canonical_basis, expand_dual_canonical_coords,
                         dual_product, coords_congruent_mod_qL,
                         flag_minor_datum)
@@ -23,8 +24,8 @@ from .quiver import adapted_word
 
 
 def _dual_can_coords(w, m):
-    """B(m)* in dual-PBW coordinates."""
-    return dual_canonical_basis(weight_tuple(w, m), w)[m]
+    """B(m)* in dual-PBW coordinates, for a datum m the scan enumerated."""
+    return dual_canonical_basis(_record(w, m).weight, w)[m]
 
 
 def q_commute_exponent_coords(w, ca, cb):
@@ -66,8 +67,8 @@ def _is_predicted_basis_element(w, m, mp, e, xy):
     hence 0.  So (i) and (ii) give P = B(m+mp)*; conversely
     P = B(m+mp)* is T-fixed and lies in E(m+mp)* + qL*.
     """
-    d = d_form(w, m, mp)
-    if e != d_form(w, mp, m) - d:
+    d = _d(w, m, mp)
+    if e != _d(w, mp, m) - d:
         return False
     target = tuple(a + b for a, b in zip(m, mp))
     return xy.get(target, ZERO).shift(d).is_one() and all(

@@ -15,20 +15,24 @@ pairing against the mirrored F-side monomials F(m) (biorthogonality),
 never by word rewriting.  F(m) is E(m) pushed through the Chevalley
 involution omega (E_i <-> F_i, K_mu -> K_-mu) and scaled by a unit +-q^a
 (see f_pbw_monomial), so the cached plain sum of E(m) serves both sides
-and each pairing builds one RatScalar.  The dual PBW normalizers f_m
+and each pairing is one walk over it.  The dual PBW normalizers f_m
 come from Lusztig's product formula for (E(m), F(m)), and their units
 u_m in closed form from the root units.  The straightening law of two
 dual root vectors E*_k = E(e_k)* is paired out once per pair, in
-dual-PBW coordinates over Z[q, q^-1]; canonical builds every product on
-it.
+dual-PBW coordinates over Z[q, q^-1], by exact division; canonical
+builds every product on it.  The integers of a datum that those
+products and the Theorem 5.1 scan read (its letters, e(m), weight and
+d-form row) are computed once per word and checked datum (_record).
 """
 
+from collections import namedtuple
 from functools import cache
+from operator import mul
 
-from .scalars import (LaurentPoly, RatScalar, ONE, add_term,
-                      quantum_factorial)
+from .scalars import (LaurentPoly, RatScalar, ONE, InexactDivision,
+                      add_term, quantum_factorial, _exact_divide)
 from .rootdata import form, num_positive_roots, reduced_completion
-from .qea import PlainSum, plain_pairing, plain_sums
+from .qea import PlainSum, plain_pairing_parts, plain_sums
 
 
 # -- root vectors ----------------------------------------------------------
@@ -127,13 +131,45 @@ def check_datum(w, m):
 
 def weight_tuple(w, m):
     """sum m_k beta_k as an int tuple of simple-root coordinates."""
-    m = check_datum(w, m)
-    out = [0] * w.datum.rank
-    for c, b in zip(m, _root_table(w)[0]):
+    return _record(w, check_datum(w, m)).weight
+
+
+_Record = namedtuple("_Record", "letters e weight row")
+
+
+@cache
+def _record(w, m):
+    """The integers of a checked datum tuple m on the word w, computed
+    once and read by canonical and mult with no re-validation:
+    letters, the ascending root indices of m (k repeated m_k times);
+    e = e(m) = sum_k d_k m_k (m_k - 1)/2 with d_k = (beta_k, beta_k)/2;
+    weight = sum_k m_k beta_k as an int tuple; and the d-form row v_m,
+    v_m[j] = sum_{i>j} (beta_i, beta_j) m_i + d_j m_j, so that
+    d(m, n) = v_m . n (_d).
+
+    e(m) is the exponent in E(m)* = q^e(m) E*_1^m_1 ... E*_N^m_N, where
+    E*_k = (1 - q^(beta_k, beta_k)) E_{beta_k} = E(e_k)*.  Proof, from
+    Lusztig's product formula f_m = prod_k prod_{s=1..m_k}
+    (1 - q^{2 s d_k}): E_{beta_k}^c = [c]_{d_k}! E_{beta_k}^(c), and
+    q^{ds} - q^{-ds} = -q^{-ds} (1 - q^{2ds}) gives (1 - q^{2d}) [s]_d =
+    q^{d(1-s)} (1 - q^{2ds}), so E*_k^c = q^{-d_k c(c-1)/2} prod_{s=1..c}
+    (1 - q^{2 s d_k}) E_{beta_k}^(c); in word order these multiply to
+    q^-e(m) f_m E(m) = q^-e(m) E(m)*.
+    """
+    betas, gram = _root_table(w)
+    letters, e = [], 0
+    weight, row = [0] * w.datum.rank, [0] * len(m)
+    for k, c in enumerate(m):
         if c:
-            for t, x in enumerate(b):
-                out[t] += c * x
-    return tuple(out)
+            d = gram[k][k] // 2
+            letters += [k + 1] * c
+            e += d * c * (c - 1) // 2
+            for t, x in enumerate(betas[k]):
+                weight[t] += c * x
+            row[k] += d * c
+            for j in range(k):
+                row[j] += gram[k][j] * c
+    return _Record(tuple(letters), e, tuple(weight), tuple(row))
 
 
 def render_datum(m):
@@ -271,17 +307,18 @@ def _data_inside(w, k, kp):
 
 def pairing_em_fn(w, m, n):
     """(E(m), F(n)) through the Hopf pairing, on the cached plain sums."""
-    return _pairing_f(_plain_monomial(w, check_datum(w, m)), w,
-                      check_datum(w, n))
+    return RatScalar(*_pairing_f(_plain_monomial(w, check_datum(w, m)), w,
+                                 check_datum(w, n)))
 
 
 def _pairing_f(x, w, n, scale=ONE):
-    """scale (x, F(n)) for a PlainSum x and a checked datum n, as one
-    RatScalar: x is walked along the plain words of E(n), which are those
-    of omega(E(n)), and F(n)'s unit joins scale (_f_unit)."""
+    """scale (x, F(n)) for a PlainSum x and a checked datum n, as the
+    unreduced (num, den) of plain_pairing_parts: x is walked along the
+    plain words of E(n), which are those of omega(E(n)), and F(n)'s unit
+    joins scale (_f_unit)."""
     a, odd = _f_unit(w, n)
-    return plain_pairing(w.datum, x, _plain_monomial(w, n),
-                         (-scale if odd else scale).shift(a))
+    return plain_pairing_parts(w.datum, x, _plain_monomial(w, n),
+                               (-scale if odd else scale).shift(a))
 
 
 @cache
@@ -328,15 +365,9 @@ def dual_pbw_normalizer(w, m):
 
 def _pbw_coordinate(x, w, m):
     """c_m = (x, F(m))/(E(m), F(m)) = (x, F(m)) f_m u_m for a PlainSum x
-    of the weight of m, as one RatScalar."""
+    of the weight of m, as the unreduced (num, den) of _pairing_f."""
     f, u = _normalizer_pair(w, m)
     return _pairing_f(x, w, m, f.num * u.num)
-
-
-def _dual_coordinate(x, w, m, scale):
-    """scale c_m / f_m = scale (x, F(m)) u_m, with c_m / f_m the
-    coordinate of the PlainSum x on E(m)* = f_m E(m), as one RatScalar."""
-    return _pairing_f(x, w, m, scale * _normalizer_pair(w, m)[1].num)
 
 
 def pbw_coordinates(x, w):
@@ -345,7 +376,7 @@ def pbw_coordinates(x, w):
     coeffs = {}
     for mu, p in plain_sums(x).items():
         for m in _data_of_weight(w, mu):
-            c = _pbw_coordinate(p, w, m)
+            c = RatScalar(*_pbw_coordinate(p, w, m))
             if not c.is_zero():
                 coeffs[m] = c
     return coeffs
@@ -356,19 +387,12 @@ def pbw_coordinates(x, w):
 def d_form(w, m, n):
     """d(m, n) = sum_{i>j} <beta_i, beta_j> m_i n_j
     + (1/2) sum_i <beta_i, beta_i> m_i n_i (an integer)."""
-    m = check_datum(w, m)
-    n = check_datum(w, n)
-    gram = _root_table(w)[1]
-    total = 0
-    for i in range(len(m)):
-        if not m[i]:
-            continue
-        for j in range(i):
-            if n[j]:
-                total += gram[i][j] * m[i] * n[j]
-        if n[i]:
-            total += gram[i][i] * m[i] * n[i] // 2
-    return total
+    return _d(w, check_datum(w, m), check_datum(w, n))
+
+
+def _d(w, m, n):
+    """d_form of checked data: the row v_m of m's record dotted with n."""
+    return sum(map(mul, _record(w, m).row, n))
 
 
 def c_form(w, n, m):
@@ -420,9 +444,12 @@ def straighten_commutator(w, k, kp):
     (k, k'), which _data_inside finds among those roots alone.  Scaling
     x = sum_m c_m E(m) by f_lead turns each E(m) into E(m)*/f_m, and
     c_m = (x, F(m)) f_m u_m, so f_m cancels:
-    S*[m] = -q^{(beta_k, beta_k')} f_lead (x, F(m)) u_m
-    (_dual_coordinate, one RatScalar per datum).  Raises NonLaurentStraightening if a coefficient
-    is not in Z[q, q^-1].
+    S*[m] = -q^{(beta_k, beta_k')} f_lead (x, F(m)) u_m.  Each walk gives
+    its value as an unreduced fraction num/den (_pairing_f), so the lead
+    is checked as num = q^-b den and S*[m] is the exact quotient of num
+    by den, as S* lies in Lusztig's integral form (Introduction to
+    Quantum Groups, ch. 41); raises NonLaurentStraightening if that
+    division is not exact in Z[q, q^-1].
     """
     if not 1 <= k < kp <= len(w.word):
         raise ValueError("need 1 <= k < k' <= N, got (%d, %d)" % (k, kp))
@@ -430,33 +457,29 @@ def straighten_commutator(w, k, kp):
     lead = tuple(1 if t in (k - 1, kp - 1) else 0 for t in range(N))
     b = _root_table(w)[1][k - 1][kp - 1]
     x = _plain_root_vector(w, kp) * _plain_root_vector(w, k)
-    lead_b = _pbw_coordinate(x, w, lead)
-    if lead_b != RatScalar.q_power(-b):
+    num, den = _pbw_coordinate(x, w, lead)
+    if num != den.shift(-b):
         raise StraighteningError(
             "coefficient of %s in E_%d E_%d of %s is %s, not q^%d"
-            % (render_datum(lead), kp, k, w.render(), lead_b.render(), -b))
+            % (render_datum(lead), kp, k, w.render(),
+               RatScalar(num, den).render(), -b))
     scale = -_normalizer_pair(w, lead)[0].num.shift(b)
     out = {}
     for m in _data_inside(w, k, kp):
-        c = _dual_coordinate(x, w, m, scale)
-        if not c.is_laurent():
+        num, den = _pairing_f(x, w, m, scale * _normalizer_pair(w, m)[1].num)
+        try:
+            c = _exact_divide(num, den)
+        except InexactDivision:
             raise NonLaurentStraightening(
                 "S* of E*_%d E*_%d on %s has %s at %s"
-                % (kp, k, w.render(), c.render(), render_datum(m)))
+                % (kp, k, w.render(), RatScalar(num, den).render(),
+                   render_datum(m))) from None
         if not c.is_zero():
-            out[m] = c.as_laurent()
+            out[m] = c
     return out
 
 
-# -- dual letters, and products in PBW coordinates --------------------------
-
-def _letters_of_datum(m):
-    """Expand a Lusztig datum to the ascending sequence of its root indices."""
-    letters = []
-    for k, c in enumerate(m, start=1):
-        letters.extend([k] * c)
-    return tuple(letters)
-
+# -- products in PBW coordinates ---------------------------------------------
 
 def pbw_product(w, ca, cb):
     """The product of two elements given by PBW coordinate dicts, again as

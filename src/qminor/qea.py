@@ -657,15 +657,20 @@ def _walk(datum, x, ys):
     return total
 
 
-def plain_pairing(datum, x, y, scale=ONE):
+def plain_pairing_parts(datum, x, y, scale=ONE):
     """scale (x, y) for a PlainSum x on the E side and a PlainSum y on the
-    F side, as one RatScalar: scale num / (den(x) den(y) content), with
-    num from the walk along the terms of y in their order (_walk) and
-    1/content = prod_a (E_a, F_a) the generator factor of the weight."""
+    F side, as the unreduced (num, den) = (scale walk, den(x) den(y)
+    content), with the walk along the terms of y in their order (_walk)
+    and 1/content = prod_a (E_a, F_a) the generator factor of the weight."""
     if x.weight != y.weight:
-        return RatScalar.zero()
-    return RatScalar(_walk(datum, x.terms, y.terms.items()) * scale,
-                     x.den * y.den * _weight_factors(datum, x.weight)[1])
+        return ZERO, ONE
+    return (_walk(datum, x.terms, y.terms.items()) * scale,
+            x.den * y.den * _weight_factors(datum, x.weight)[1])
+
+
+def plain_pairing(datum, x, y, scale=ONE):
+    """plain_pairing_parts as one reduced RatScalar."""
+    return RatScalar(*plain_pairing_parts(datum, x, y, scale))
 
 
 def pairing(x, y):

@@ -160,7 +160,7 @@ class ReducedWord:
     iff every beta_k is a positive root and they are pairwise distinct.
     """
 
-    __slots__ = ("datum", "word", "betas")
+    __slots__ = ("datum", "word", "betas", "_hash")
 
     def __init__(self, datum, word):
         word = tuple(word)
@@ -169,6 +169,7 @@ class ReducedWord:
         self.datum = datum
         self.word = word
         self.betas = _beta_sequence(datum, word)
+        self._hash = hash((datum.label, word))
 
     def __len__(self):
         return len(self.word)
@@ -179,7 +180,7 @@ class ReducedWord:
         return self.datum is other.datum and self.word == other.word
 
     def __hash__(self):
-        return hash((self.datum.label, self.word))
+        return self._hash
 
     def inversion_set(self):
         """The set of positive roots sent negative; canonical for the

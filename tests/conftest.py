@@ -6,7 +6,9 @@ import pytest
 
 import qminor.canonical
 import qminor.pbw
-from qminor.scalars import LaurentPoly, RatScalar
+from qminor.scalars import LaurentPoly
+
+from straightening_faults import divide_straightening_by
 
 
 @pytest.fixture
@@ -24,10 +26,7 @@ def fresh_straightening(monkeypatch):
 
 @pytest.fixture
 def non_laurent_commutator(monkeypatch, fresh_straightening):
-    """Divide every dual coordinate that straighten_commutator pairs out
-    below its leading datum by 1 + q + q^2, so each nonempty S* is
-    non-Laurent and the leading-coefficient check still passes."""
-    orig = qminor.pbw._dual_coordinate
-    den = RatScalar(LaurentPoly.from_int(1), LaurentPoly({0: 1, 1: 1, 2: 1}))
-    monkeypatch.setattr(qminor.pbw, "_dual_coordinate",
-                        lambda *args: orig(*args) * den)
+    """Divide every dual coordinate below the leading datum by
+    1 + q + q^2, so each nonempty S* is non-Laurent and the
+    leading-coefficient check still passes."""
+    divide_straightening_by(monkeypatch, LaurentPoly({0: 1, 1: 1, 2: 1}))

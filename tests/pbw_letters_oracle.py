@@ -11,11 +11,11 @@ S*, the letter table or pbw's plain-word sums.
 
 from functools import cache
 
-from qminor.pbw import (StraighteningError, _data_of_weight,
-                        _letters_of_datum, _root_norm, _root_table,
-                        render_datum, weight_tuple)
+from qminor.pbw import (StraighteningError, _data_of_weight, _root_norm,
+                        _root_table, render_datum, weight_tuple)
 from qminor.scalars import RatScalar, add_term, quantum_factorial
 
+from datum_oracle import letters_of_datum
 from word_product_oracle import oracle_pbw_coordinate, oracle_root_vector
 
 
@@ -90,7 +90,7 @@ def _straighten_letters(w, letters):
         add_term(acc, d, unit * c)
     for sm, sc in pbw_straighten_commutator(w, y, x).items():
         corr = unit * sc / _letter_factorial(w, sm)
-        sub = pre + _letters_of_datum(sm) + suf
+        sub = pre + letters_of_datum(sm) + suf
         for d, c in _straighten_letters(w, sub).items():
             add_term(acc, d, -(corr * c))
     return acc
@@ -102,10 +102,10 @@ def pbw_letters_product(w, ca, cb):
     monomials."""
     out = {}
     for m, cm in ca.items():
-        lm = _letters_of_datum(m)
+        lm = letters_of_datum(m)
         fm = _letter_factorial(w, m)
         for n, cn in cb.items():
             pref = (cm * cn) / (fm * _letter_factorial(w, n))
-            for d, c in _straighten_letters(w, lm + _letters_of_datum(n)).items():
+            for d, c in _straighten_letters(w, lm + letters_of_datum(n)).items():
                 add_term(out, d, pref * c)
     return out

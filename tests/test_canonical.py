@@ -23,7 +23,7 @@ from qminor.canonical import (dual_pbw_element, dual_pbw_expansion,
                               flag_minor_datum, flag_minor, demazure_flag,
                               basis_element_json, dual_product,
                               dual_to_pbw_coords, pbw_to_dual_coords,
-                              _letter_exponent, _sigma_eta_unit,
+                              _sigma_eta_unit,
                               NotUnitriangular, FlagMinorWeightMismatch)
 from qminor.checks import standard_words
 
@@ -32,6 +32,7 @@ from dual_letters_oracle import oracle_unit_product, oracle_sigma_eta_column
 from pbw_letters_oracle import (pbw_letters_product,
                                 pbw_straighten_commutator)
 from weight_oracle import frac_minor_weight
+from datum_oracle import letter_exponent
 from qminor.quiver import adapted_word, all_orientations
 
 A2 = CartanDatum("A2")
@@ -256,7 +257,7 @@ def test_sigma_eta_unit_matches_eigen_scalars(label):
     for w in all_reduced_words_for_w0(datum):
         for mu in weights_up_to(datum, 3):
             for n in data_of_weight(w, mu):
-                unit = qp(-_letter_exponent(w, n))
+                unit = qp(-letter_exponent(w, n))
                 for beta, c in zip(w.betas, n):
                     unit = unit * eigen_scalar(datum, beta) ** c
                 assert _sigma_eta_unit(w, n) == unit, (w.word, n)

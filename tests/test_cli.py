@@ -14,6 +14,8 @@ from qminor.cli import parse_expr, ParseError, main
 from qminor.pbw import root_vector
 from qminor.rootdata import longest_word
 
+from straightening_faults import double_leading_coefficient
+
 A2 = CartanDatum("A2")
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -268,10 +270,7 @@ def test_straightening_error_exits_3(fresh_straightening, monkeypatch,
     # a wrong leading coefficient of a reversed root-vector product raises
     # StraighteningError, an ArithmeticError: an internal error, not bad
     # input
-    import qminor.pbw
-    coord = qminor.pbw._pbw_coordinate
-    monkeypatch.setattr(qminor.pbw, "_pbw_coordinate",
-                        lambda x, w, m: coord(x, w, m) * 2)
+    double_leading_coefficient(monkeypatch)
     code, out, err = run_cli(["mult-scan", "--type", "A2",
                               "--orientation", "2>1", "--height", "2"],
                              capsys)

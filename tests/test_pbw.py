@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qminor.pbw
+import qminor.qea
+import qminor.scalars
 
 from qminor.scalars import LaurentPoly, RatScalar, ONE, quantum_factorial
 from qminor.rootdata import (CartanDatum, ReducedWord, longest_word, form,
@@ -21,12 +23,16 @@ from qminor.pbw import (root_vector, pbw_monomial,
                         straighten_commutator, ext_order, pbw_product,
                         weight_tuple, render_datum,
                         _normalizer_pair, _root_table,
-                        _root_norm, _root_units,
-                        StraighteningError)
+                        _root_norm, _root_units, _record,
+                        NonLaurentStraightening, StraighteningError)
 from qminor.canonical import dual_pbw_element
 from qminor.checks import standard_words, weights_up_to
 from qminor.quiver import adapted_word, all_orientations
 
+from datum_oracle import (datum_weight, double_loop_d_form, letter_exponent,
+                          letters_of_datum)
+from straightening_faults import (divide_straightening_by,
+                                  double_leading_coefficient)
 from braid_oracle import (braid_T, braid_chain, braid_root_vector,
                           braid_f_root_vector)
 from weight_oracle import frac_form, frac_weyl_act
@@ -683,15 +689,80 @@ def test_straighten_commutator_matches_two_sweeps(label):
 def test_wrong_leading_coefficient_raises(monkeypatch):
     # straighten_commutator pairs datum by datum, inside its interval, so
     # the doubled coordinate is the single one, not the whole expansion.
-    coord = qminor.pbw._pbw_coordinate
-    monkeypatch.setattr(qminor.pbw, "_pbw_coordinate",
-                        lambda x, w, m: coord(x, w, m) * 2)
+    double_leading_coefficient(monkeypatch)
     straighten_commutator.cache_clear()
     try:
         with pytest.raises(StraighteningError):
             straighten_commutator(W_A2, 1, 3)
     finally:
         straighten_commutator.cache_clear()
+
+
+def test_non_integral_straightening_constant_raises(fresh_straightening,
+                                                     monkeypatch):
+    # S* of E*_3 E*_1 on 1,2,1 is q^-1 - q at [0,1,0]: halving it leaves
+    # Z[q, q^-1] through the integer content, not a polynomial factor
+    divide_straightening_by(monkeypatch, LaurentPoly.from_int(2))
+    with pytest.raises(NonLaurentStraightening,
+                       match=r"S\* of E\*_3 E\*_1 on .* at \[0,1,0\]"):
+        qminor.pbw.straighten_commutator(W_A2, 1, 3)
+
+
+@pytest.mark.parametrize("label", ["B2", "A3"])
+def test_straightening_builds_no_ratscalar_and_takes_no_gcd(label,
+                                                            monkeypatch):
+    # S* is the exact quotient of each walk, and the lead is checked as
+    # num = q^-b den: with the caches of the walk's inputs warm, the body
+    # of straighten_commutator builds no RatScalar and takes no gcd
+    counts = {"RatScalar": 0, "laurent_gcd": 0}
+    init, gcd = RatScalar.__init__, qminor.scalars.laurent_gcd
+
+    def counting_init(self, *args, **kwargs):
+        counts["RatScalar"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_gcd(a, b):
+        counts["laurent_gcd"] += 1
+        return gcd(a, b)
+
+    pairs = [(w, k, kp) for w in all_reduced_words_for_w0(CartanDatum(label))
+             for k in range(1, len(w) + 1) for kp in range(k + 1, len(w) + 1)]
+    for w, k, kp in pairs:
+        straighten_commutator(w, k, kp)
+    monkeypatch.setattr(RatScalar, "__init__", counting_init)
+    for module in (qminor.scalars, qminor.qea):
+        monkeypatch.setattr(module, "laurent_gcd", counting_gcd)
+    for w, k, kp in pairs:
+        got = straighten_commutator.__wrapped__(w, k, kp)
+        assert got == straighten_commutator(w, k, kp)
+    assert counts == {"RatScalar": 0, "laurent_gcd": 0}
+    # the counters count: one reduced RatScalar takes one gcd
+    RatScalar(LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 1, 2: -1}))
+    assert counts == {"RatScalar": 1, "laurent_gcd": 1}
+
+
+def _record_words():
+    """Every reduced word of A2, B2 and A3, and the adapted words of A4."""
+    words = [w for label in ("A2", "B2", "A3")
+             for w in all_reduced_words_for_w0(CartanDatum(label))]
+    adapted = {w.word: w for w in map(adapted_word,
+                                      all_orientations(CartanDatum("A4")))}
+    return words + list(adapted.values())
+
+
+@pytest.mark.parametrize("w", _record_words(), ids=lambda w: w.render())
+def test_record_matches_per_call_formulas(w):
+    # each field of pbw._record against the formula it replaced, at every
+    # datum of height <= 3, and d(m, n) = v_m . n at every pair
+    data = [(0,) * len(w)] + [m for mu in weights_up_to(w.datum, 3)
+                              for m in data_of_weight(w, mu)]
+    for m in data:
+        rec = _record(w, m)
+        assert rec.letters == letters_of_datum(m)
+        assert rec.e == letter_exponent(w, m)
+        assert rec.weight == datum_weight(w, m) == weight_tuple(w, list(m))
+        for n in data:
+            assert d_form(w, m, n) == double_loop_d_form(w, m, n), (m, n)
 
 
 def test_straightening_matches_element_arithmetic():

@@ -1,6 +1,7 @@
 """Word expressions, the triangular algebra, the Hopf pairing and canonical
 forms."""
 
+import itertools
 from functools import cache
 
 import pytest
@@ -347,12 +348,50 @@ def _tri_sides(draw, datum, side):
     return TriExpr(datum, terms)
 
 
+@st.composite
+def _one_weight_letters(draw, datum):
+    """Two distinct letters and at most one more: a weight with at least
+    two plain words."""
+    letters = draw(st.lists(st.sampled_from(datum.indices), min_size=2,
+                            max_size=2, unique=True))
+    return letters + draw(st.lists(st.sampled_from(datum.indices),
+                                   max_size=1))
+
+
+@st.composite
+def _same_weight_sides(draw, datum, side, letters):
+    """A TriExpr of two to four words that order the letters, with one K
+    part, so all its terms fall into one (K part, weight) sum; the first
+    three carry the coefficients of _COEFFS with the three distinct
+    denominators other than 1, in a drawn order, so that sum takes the
+    lcm of at least two of them."""
+    words = sorted({canonicalize_word(datum, [(i, 1) for i in p])[0]
+                    for p in itertools.permutations(letters)})
+    chosen = draw(st.lists(st.sampled_from(words), min_size=2, max_size=4,
+                           unique=True))
+    coeffs = draw(st.permutations(_COEFFS[4:]))
+    k = tuple(draw(st.lists(st.integers(-1, 1), min_size=datum.rank,
+                            max_size=datum.rank)))
+    terms = {}
+    for t, word in enumerate(chosen):
+        key = ((), k, word) if side == "E" else (word, k, ())
+        terms[key] = (coeffs[t] if t < len(coeffs)
+                      else draw(st.sampled_from(_COEFFS)))
+    return TriExpr(datum, terms)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_pairing_matches_oracle_on_random_tri_exprs(data):
     datum = data.draw(st.sampled_from([A2, B2, A3]))
-    x = data.draw(_tri_sides(datum, "E"))
-    y = data.draw(_tri_sides(datum, "F"))
+    if data.draw(st.booleans()):
+        x = data.draw(_tri_sides(datum, "E"))
+        y = data.draw(_tri_sides(datum, "F"))
+    else:
+        # distinct denominators in one sum on each side, of one weight
+        letters = data.draw(_one_weight_letters(datum))
+        x = data.draw(_same_weight_sides(datum, "E", letters))
+        y = data.draw(_same_weight_sides(datum, "F", letters))
     assert pairing(x, y) == _oracle_pairing(x, y) == _core_sum_pairing(x, y)
     # a Serre element pairs to zero with everything, and leaves the
     # pairing unchanged when added

@@ -279,6 +279,24 @@ def test_gcd_divides_both(g, a, b):
     assert _exact_divide(d, g) * g == d
 
 
+@settings(max_examples=300, deadline=None)
+@given(_operand, _nonzero, _nonzero)
+def test_exact_divide_matches_the_fraction_route(a, b, h):
+    # _exact_divide(num, den) succeeds exactly when the reduced fraction
+    # num/den is Laurent, and then gives its numerator: on quotients that
+    # are Laurent, that miss by a polynomial factor, by the integer
+    # content 2 or 3, or carry powers of q on either side
+    for num, den in ((a * b * h, b * h), (a * h, b * h), (a * h, h * 2),
+                     (a * h * 3, (h * 2).shift(-1)), (a.shift(3), b)):
+        r = RatScalar(num, den)
+        try:
+            c = _exact_divide(num, den)
+        except InexactDivision:
+            assert not r.is_laurent(), (num, den)
+        else:
+            assert r.is_laurent() and c == r.as_laurent(), (num, den)
+
+
 @settings(deadline=None)
 @given(_operand, _nonzero, _nonzero)
 def test_reduce_is_canonical(p, r, h):
