@@ -68,28 +68,34 @@ def check_pairing(label):
 
 
 def check_biorthogonality(label, height_bound, words=None):
-    """(E(m), F(n)) = delta_mn * (nonzero) within every weight space."""
+    """(E(m), F(n)) = delta_mn * (nonzero) within every weight space;
+    "checked" counts the pairs, and a run with none is not ok."""
     datum = CartanDatum(label)
     failures = []
+    checked = 0
     for w in (words or standard_words(datum)):
         for mu in weights_up_to(datum, height_bound):
             data = pbw.data_of_weight(w, mu)
+            checked += len(data) ** 2
             for m in data:
                 for n in data:
                     p = pbw.pairing_em_fn(w, m, n)
                     if (m == n) != (not p.is_zero()):
                         failures.append([list(w.word), list(m), list(n)])
-    return _report(label, failures)
+    return _counted_report(label, failures, checked)
 
 
 def check_normalizers(label, height_bound, words=None):
     """f_m(0) = 1, bar(f_m) = +-q^a f_m and (E(m), F(m)) f_m = +-q^a on
-    every datum in range."""
+    every datum in range; "checked" counts the data, and a run with none
+    is not ok."""
     datum = CartanDatum(label)
     failures = []
+    checked = 0
     for w in (words or standard_words(datum)):
         for mu in weights_up_to(datum, height_bound):
             for m in pbw.data_of_weight(w, mu):
+                checked += 1
                 f = pbw.dual_pbw_normalizer(w, m)
                 if f.eval_at_zero() != 1:
                     failures.append([list(w.word), list(m), "f(0)"])
@@ -100,7 +106,7 @@ def check_normalizers(label, height_bound, words=None):
                 g = pbw.pairing_em_fn(w, m, m) * f
                 if g.is_q_power() is None and (-g).is_q_power() is None:
                     failures.append([list(w.word), list(m), "pairing"])
-    return _report(label, failures)
+    return _counted_report(label, failures, checked)
 
 
 # -- dual canonical basis ------------------------------------------------------
@@ -318,6 +324,14 @@ def _report(label, failures, **extra):
     out = {"schema": 1, "type": label, "ok": not failures,
            "failures": failures}
     out.update(extra)
+    return out
+
+
+def _counted_report(label, failures, checked):
+    """_report with the number of cases checked; a run that checked none
+    is not ok, whatever its failures."""
+    out = _report(label, failures, checked=checked)
+    out["ok"] = out["ok"] and checked > 0
     return out
 
 

@@ -14,15 +14,24 @@ them.  Coordinates of arbitrary elements are computed through the Hopf
 pairing against the mirrored F-side monomials F(m) (biorthogonality),
 never by word rewriting.  F(m) is E(m) pushed through the Chevalley
 involution omega (E_i <-> F_i, K_mu -> K_-mu) and scaled by a unit +-q^a
-(see f_pbw_monomial), so the cached plain sum of E(m) serves both sides
-and each pairing is one walk over it.  The dual PBW normalizers f_m
-come from Lusztig's product formula for (E(m), F(m)), and their units
-u_m in closed form from the root units.  The straightening law of two
-dual root vectors E*_k = E(e_k)* is paired out once per pair, in
-dual-PBW coordinates over Z[q, q^-1], by exact division; canonical
-builds every product on it.  The integers of a datum that those
-products and the Theorem 5.1 scan read (its letters, e(m), weight and
-d-form row) are computed once per word and checked datum (_record).
+(see f_pbw_monomial), so the cached plain sum of E(m) serves both sides.
+A pairing walks q-derivations of its E-side sum along the plain words of
+F(n) (qea._walk), keeping the state of every prefix it derives.  Each
+E(m) keeps its states in one dict per word and datum (_derivations), and
+each F(n) its words and its denominator, unit included (_f_side), so a
+Gram entry (E(m), F(n)) derives only the prefixes that no earlier F(n) of
+its weight brought to E(m); the one-off sums of pbw_coordinates and
+straighten_commutator share a fresh dict over the data they are paired
+with.  The dual PBW normalizers f_m come from Lusztig's product formula
+for (E(m), F(m)), and their units u_m in closed form from the root
+units, as Laurent polynomials; a diagonal Gram entry that the walk shows
+equal to 1/(u_m f_m) takes that reduced form with no gcd (pairing_em_fn).
+The straightening law of two dual root vectors E*_k = E(e_k)* is paired
+out once per pair, in dual-PBW coordinates over Z[q, q^-1], by exact
+division; canonical builds every product on it.  The integers of a datum
+that those products and the Theorem 5.1 scan read (its letters, e(m),
+weight and d-form row) are computed once per word and checked datum
+(_record).
 """
 
 from collections import namedtuple
@@ -32,7 +41,7 @@ from operator import mul
 from .scalars import (LaurentPoly, RatScalar, ONE, InexactDivision,
                       add_term, quantum_factorial, _exact_divide)
 from .rootdata import form, num_positive_roots, reduced_completion
-from .qea import PlainSum, plain_pairing_parts, plain_sums
+from .qea import PlainSum, plain_sums, _walk, _weight_factors
 
 
 # -- root vectors ----------------------------------------------------------
@@ -120,11 +129,17 @@ def _plain_root_vector(w, k):
 # -- PBW monomials and coordinates ------------------------------------------
 
 def check_datum(w, m):
-    m = tuple(int(c) for c in m)
+    """m as a tuple of ints; raises ValueError unless it has one entry per
+    letter of w and every entry is a nonnegative integer (an entry such as
+    1.7 is refused, not truncated)."""
+    given = tuple(m)
+    m = tuple(map(int, given))
+    if m != given:
+        raise ValueError("non-integer entry in Lusztig datum %s" % (given,))
     if len(m) != len(w.word):
         raise ValueError("datum length %d != word length %d"
                          % (len(m), len(w.word)))
-    if any(c < 0 for c in m):
+    if m and min(m) < 0:
         raise ValueError("negative entry in Lusztig datum %s" % (m,))
     return m
 
@@ -306,24 +321,71 @@ def _data_inside(w, k, kp):
 
 
 def pairing_em_fn(w, m, n):
-    """(E(m), F(n)) through the Hopf pairing, on the cached plain sums."""
-    return RatScalar(*_pairing_f(_plain_monomial(w, check_datum(w, m)), w,
-                                 check_datum(w, n)))
+    """(E(m), F(n)) through the Hopf pairing, as one reduced RatScalar:
+    E(m)'s cached derivation states (_derivations) walked along F(n)'s
+    cached words (_f_side).
+
+    The walk gives num/den.  On the diagonal it is compared with
+    Lusztig's product formula, 1/(u_m f_m) (_normalizer_pair), by the
+    exact identity num u_m f_m = den; when that holds, 1/(u_m f_m) is the
+    reduced fraction, as u_m = +-q^a and f_m(0) = 1, and no gcd is taken.
+    Any other value is reduced by gcd, so a walk that disagrees with the
+    formula is returned as it is."""
+    m, n = check_datum(w, m), check_datum(w, n)
+    x = _plain_monomial(w, m)
+    weight, words, den = _f_side(w, n)
+    if x.weight != weight:
+        return RatScalar.zero()
+    num = _walk(w.datum, _derivations(w, m), words)
+    if num.is_zero():
+        return RatScalar.zero()
+    den = x.den * den
+    if m == n:
+        f, u = _normalizer_pair(w, m)
+        if num * u * f == den:
+            ((a, sign),) = u.coeffs.items()
+            return RatScalar(LaurentPoly.q_power(-a, sign), f, _reduced=True)
+    return RatScalar(num, den)
 
 
-def _pairing_f(x, w, n, scale=ONE):
-    """scale (x, F(n)) for a PlainSum x and a checked datum n, as the
-    unreduced (num, den) of plain_pairing_parts: x is walked along the
-    plain words of E(n), which are those of omega(E(n)), and F(n)'s unit
-    joins scale (_f_unit)."""
+@cache
+def _derivations(w, m):
+    """The derivation states D_v E(m) of a checked datum m, as the
+    {prefix v: state} dict of qea._walk, starting from {(): E(m)}.  Every
+    pairing_em_fn of E(m) fills it in place along the words of its F(n),
+    so a prefix that several F(n) of the weight share is derived once."""
+    return {(): _plain_monomial(w, m).terms}
+
+
+@cache
+def _f_side(w, n):
+    """(weight, words, den) of F(n) for a checked datum n, as every pairing
+    against it reads them: the (plain word, numerator) pairs of E(n),
+    which are the plain F-words of omega(E(n)) (f_pbw_monomial); and
+    den(E(n)) times the denominator of the generator factor of the weight,
+    divided by F(n)'s unit +-q^a (_f_unit), so that (x, F(n)) =
+    walk / (den(x) den).  The unit goes into den, a shift, once per datum:
+    scaling each numerator instead would cost a product per word on the
+    first pairing with F(n)."""
+    p = _plain_monomial(w, n)
     a, odd = _f_unit(w, n)
-    return plain_pairing_parts(w.datum, x, _plain_monomial(w, n),
-                               (-scale if odd else scale).shift(a))
+    den = (p.den * _weight_factors(w.datum, p.weight)[1]).shift(-a)
+    return p.weight, p.terms.items(), -den if odd else den
+
+
+def _pairing_f(x, w, n, scale, states):
+    """scale (x, F(n)) for a PlainSum x of the weight of the checked datum
+    n, as the unreduced (num, den) = (scale walk, den(x) den), with the
+    words and den of F(n) from _f_side; states holds derivations of x
+    (qea._walk)."""
+    _, words, den = _f_side(w, n)
+    return _walk(w.datum, states, words) * scale, x.den * den
 
 
 @cache
 def _normalizer_pair(w, m):
-    """(f_m, u_m) with 1/(E(m), F(m)) = u_m f_m; m is a checked datum tuple.
+    """(f_m, u_m) with 1/(E(m), F(m)) = u_m f_m, as LaurentPolys; m is a
+    checked datum tuple.
 
     Lusztig's product formula (Introduction to Quantum Groups, 38.2.3)
     gives f_m = prod_k prod_{s=1..m_k} (1 - q^{s (beta_k, beta_k)}), so
@@ -350,33 +412,41 @@ def _normalizer_pair(w, m):
                 f = f * (ONE - LaurentPoly.q_power(s * norm))
             exp -= c * (norm + 3 * _root_units(w)[k - 1][0])
             count += c
-    return (RatScalar.from_laurent(f),
-            RatScalar.q_power(exp, -1 if count % 2 else 1))
+    return f, LaurentPoly.q_power(exp, -1 if count % 2 else 1)
 
 
 def dual_pbw_normalizer(w, m):
-    """f_m with E(m)* = f_m E(m) and f_m(0) = 1.
+    """f_m with E(m)* = f_m E(m) and f_m(0) = 1, as a RatScalar.
 
     f_m is the product formula part of 1/(E(m), F(m)) = u_m f_m; with the
     unit u_m = +-q^a on the F side, (E(m)*, u_m F(m)) = 1.
     """
-    return _normalizer_pair(w, check_datum(w, m))[0]
+    return _normalizer_view(w, check_datum(w, m))
 
 
-def _pbw_coordinate(x, w, m):
+@cache
+def _normalizer_view(w, m):
+    """f_m of _normalizer_pair as a RatScalar, one object per checked
+    datum; nothing else wraps the pair."""
+    return RatScalar.from_laurent(_normalizer_pair(w, m)[0])
+
+
+def _pbw_coordinate(x, w, m, states):
     """c_m = (x, F(m))/(E(m), F(m)) = (x, F(m)) f_m u_m for a PlainSum x
     of the weight of m, as the unreduced (num, den) of _pairing_f."""
     f, u = _normalizer_pair(w, m)
-    return _pairing_f(x, w, m, f.num * u.num)
+    return _pairing_f(x, w, m, f * u, states)
 
 
 def pbw_coordinates(x, w):
     """The expansion x = sum c_m E(m) via c_m = (x, F(m))/(E(m), F(m)),
-    as a dict {datum: RatScalar} of the nonzero coordinates."""
+    as a dict {datum: RatScalar} of the nonzero coordinates.  The data of
+    one weight share the derivation states of its plain sum (qea._walk)."""
     coeffs = {}
     for mu, p in plain_sums(x).items():
+        states = {(): p.terms}
         for m in _data_of_weight(w, mu):
-            c = RatScalar(*_pbw_coordinate(p, w, m))
+            c = RatScalar(*_pbw_coordinate(p, w, m, states))
             if not c.is_zero():
                 coeffs[m] = c
     return coeffs
@@ -457,16 +527,18 @@ def straighten_commutator(w, k, kp):
     lead = tuple(1 if t in (k - 1, kp - 1) else 0 for t in range(N))
     b = _root_table(w)[1][k - 1][kp - 1]
     x = _plain_root_vector(w, kp) * _plain_root_vector(w, k)
-    num, den = _pbw_coordinate(x, w, lead)
+    states = {(): x.terms}
+    num, den = _pbw_coordinate(x, w, lead, states)
     if num != den.shift(-b):
         raise StraighteningError(
             "coefficient of %s in E_%d E_%d of %s is %s, not q^%d"
             % (render_datum(lead), kp, k, w.render(),
                RatScalar(num, den).render(), -b))
-    scale = -_normalizer_pair(w, lead)[0].num.shift(b)
+    scale = -_normalizer_pair(w, lead)[0].shift(b)
     out = {}
     for m in _data_inside(w, k, kp):
-        num, den = _pairing_f(x, w, m, scale * _normalizer_pair(w, m)[1].num)
+        num, den = _pairing_f(x, w, m, scale * _normalizer_pair(w, m)[1],
+                              states)
         try:
             c = _exact_divide(num, den)
         except InexactDivision:

@@ -636,41 +636,40 @@ def _derive(datum, state, b):
     return out
 
 
-def _walk(datum, x, ys):
-    """sum_v c_v core(x, v) over the (plain F-word v, c_v) pairs ys, for
-    x {plain E-word: LaurentPoly}: x is carried through D_b along each v,
-    and the prefix that v shares with the word before it is derived once,
-    so with ys in lexicographic order each prefix is derived once."""
+def _walk(datum, states, ys):
+    """sum_v c_v core(x, v) over the (plain F-word v, c_v) pairs ys.
+
+    states maps prefixes u to the derivations D_u x = D_{u_r} ... D_{u_1} x
+    of x = states[()], {plain E-word: LaurentPoly}, and is filled in
+    place: each v is derived on from its longest prefix in states, and
+    each new state, vanished or not, is stored under its prefix, so a
+    prefix is derived once per states dict, whatever words and order
+    later calls bring."""
     total = ZERO
-    stack, prev = [x], ()
     for v, cy in ys:
-        n = 0
-        while n < len(prev) and prev[n] == v[n]:
-            n += 1
-        del stack[n + 1:]
-        for b in v[n:]:
-            stack.append(_derive(datum, stack[-1], b))
-        prev = v
-        end = stack[-1].get(())
+        state = states.get(v)
+        if state is None:
+            n = len(v) - 1
+            while v[:n] not in states:
+                n -= 1
+            state = states[v[:n]]
+            while n < len(v):
+                state = _derive(datum, state, v[n])
+                n += 1
+                states[v[:n]] = state
+        end = state.get(())
         if end is not None:
             total = total + end * cy
     return total
 
 
-def plain_pairing_parts(datum, x, y, scale=ONE):
-    """scale (x, y) for a PlainSum x on the E side and a PlainSum y on the
-    F side, as the unreduced (num, den) = (scale walk, den(x) den(y)
-    content), with the walk along the terms of y in their order (_walk)
-    and 1/content = prod_a (E_a, F_a) the generator factor of the weight."""
-    if x.weight != y.weight:
-        return ZERO, ONE
-    return (_walk(datum, x.terms, y.terms.items()) * scale,
-            x.den * y.den * _weight_factors(datum, x.weight)[1])
-
-
-def plain_pairing(datum, x, y, scale=ONE):
-    """plain_pairing_parts as one reduced RatScalar."""
-    return RatScalar(*plain_pairing_parts(datum, x, y, scale))
+def plain_pairing(datum, x, y):
+    """(x, y) for PlainSums x on the E side and y on the F side of one
+    weight, as one reduced RatScalar of walk / (den(x) den(y) content):
+    the walk goes along the terms of y in their order (_walk), and
+    1/content = prod_a (E_a, F_a) is the generator factor of the weight."""
+    return RatScalar(_walk(datum, {(): x.terms}, y.terms.items()),
+                     x.den * y.den * _weight_factors(datum, x.weight)[1])
 
 
 def pairing(x, y):

@@ -22,8 +22,8 @@ def double_leading_coefficient(monkeypatch):
     _pbw_coordinate."""
     orig = qminor.pbw._pbw_coordinate
 
-    def doubled(x, w, m):
-        num, den = orig(x, w, m)
+    def doubled(x, w, m, states):
+        num, den = orig(x, w, m, states)
         return num * 2, den
 
     monkeypatch.setattr(qminor.pbw, "_pbw_coordinate", doubled)

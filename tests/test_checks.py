@@ -57,11 +57,29 @@ def test_pairing_suite():
 def test_biorthogonality_small():
     r = check_biorthogonality("A2", 4)
     assert r["ok"], r["failures"]
+    # every pair of data of one weight, on both standard words
+    a2 = CartanDatum("A2")
+    assert r["checked"] == sum(len(qminor.pbw.data_of_weight(w, mu)) ** 2
+                               for w in standard_words(a2)
+                               for mu in weights_up_to(a2, 4)) == 74
 
 
 def test_normalizers_small():
     r = check_normalizers("B2", 4)
     assert r["ok"], r["failures"]
+    b2 = CartanDatum("B2")
+    assert r["checked"] == sum(len(qminor.pbw.data_of_weight(w, mu))
+                               for w in standard_words(b2)
+                               for mu in weights_up_to(b2, 4)) == 48
+
+
+@pytest.mark.parametrize("check", [check_biorthogonality, check_normalizers])
+def test_pbw_suite_that_checked_nothing_fails(check):
+    # height 0 has no weight, so nothing is paired
+    r = check("A2", 0)
+    assert r["checked"] == 0
+    assert r["failures"] == []
+    assert not r["ok"]
 
 
 def test_normalizer_bar_failure_is_reported_not_raised(monkeypatch):

@@ -2,6 +2,7 @@
 normalizers, the d- and c-forms, straightening and the Ext order."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -298,6 +299,15 @@ def test_datum_validation():
         pbw_monomial(W_A2, (1, 0))
     with pytest.raises(ValueError):
         pbw_monomial(W_A2, (1, -1, 0))
+    # an entry that is not an integer is refused, not truncated
+    for bad in ((1.7, 0, 0), (0.9, 0, 1), (1, 0.5, 0)):
+        with pytest.raises(ValueError, match="non-integer"):
+            pairing_em_fn(W_A2, bad, (1, 0, 0))
+        with pytest.raises(ValueError, match="non-integer"):
+            pairing_em_fn(W_A2, (1, 0, 0), bad)
+        with pytest.raises(ValueError, match="non-integer"):
+            weight_tuple(W_A2, bad)
+    assert weight_tuple(W_A2, [1.0, 0, 2]) == weight_tuple(W_A2, (1, 0, 2))
 
 
 def test_pbw_coordinates_delta():
@@ -405,7 +415,7 @@ def _assert_normalizers_match_pairing(w, height):
             assert RatScalar.one() / pairing_em_fn(w, m, m) == u * f, m
             assert pairing(pbw_monomial(w, m).scale(f),
                            f_pbw_monomial(w, m).scale(u)) == RatScalar.one()
-            assert f.eval_at_zero() == 1
+            assert f.min_exp() == 0 and f.coeff(0) == 1
             assert u.is_q_power() is not None \
                 or (-u).is_q_power() is not None
 
@@ -484,6 +494,100 @@ def test_pairing_em_fn_matches_word_product_oracle(label):
                 for n in data:
                     assert pairing_em_fn(w, m, n) == \
                         oracle_pairing_em_fn(w, m, n), (w.word, m, n)
+
+
+# One adapted word of D4 joins the reduced words of A2, B2 and A3 for the
+# derivation memo of pairing_em_fn.
+_MEMO_WORDS = ([w for d in (A2, B2, A3) for w in all_reduced_words_for_w0(d)]
+               + [adapted_word(all_orientations(CartanDatum("D4"))[0])])
+
+
+def _gram_blocks(w, height=3):
+    """The data of each weight up to height, weight by weight."""
+    return [data_of_weight(w, mu) for mu in weights_up_to(w.datum, height)]
+
+
+def _clear_pairing_memos():
+    qminor.pbw._derivations.cache_clear()
+    qminor.pbw._f_side.cache_clear()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gram_blocks_in_any_call_order_match_word_product_oracle(data):
+    # Each E(m) keeps its derivation states across calls and fills them
+    # along whichever F(n) come first: every Gram block up to height 3,
+    # in a drawn order across all weights, from empty memos, against the
+    # WordExpr products.
+    w = data.draw(st.sampled_from(_MEMO_WORDS))
+    pairs = data.draw(st.permutations(
+        [(m, n) for block in _gram_blocks(w) for m in block for n in block]))
+    _clear_pairing_memos()
+    for m, n in pairs:
+        assert pairing_em_fn(w, m, n) == oracle_pairing_em_fn(w, m, n), \
+            (w.word, m, n)
+
+
+@pytest.mark.parametrize("w", [w for w in _MEMO_WORDS
+                               if w.datum.label == "D4"]
+                         + [w for d in (A2, B2, A3)
+                            for w in standard_words(d)],
+                         ids=lambda w: w.render())
+def test_gram_block_derives_each_prefix_once(w, monkeypatch):
+    # A weight's Gram block, in a shuffled order and then once more,
+    # derives each prefix of the plain words of its F(n) exactly once per
+    # E(m); the memo of E(m) holds exactly those prefixes, each under the
+    # state D_v E(m) that a fresh chain of q-derivations gives.
+    calls = []
+    derive = qminor.qea._derive
+    monkeypatch.setattr(qminor.qea, "_derive",
+                        lambda *args: calls.append(args) or derive(*args))
+    rng = random.Random(w.render())
+    for block in _gram_blocks(w):
+        prefixes = {v[:t] for n in block
+                    for v in qminor.pbw._plain_monomial(w, n).terms
+                    for t in range(len(v) + 1)}
+        pairs = [(m, n) for m in block for n in block]
+        rng.shuffle(pairs)
+        _clear_pairing_memos()
+        del calls[:]
+        for m, n in pairs + pairs:
+            pairing_em_fn(w, m, n)
+        assert len(calls) == len(block) * (len(prefixes) - 1), block
+        for m in block:
+            states = qminor.pbw._derivations(w, m)
+            assert set(states) == prefixes, m
+            for v, state in states.items():
+                fresh = qminor.pbw._plain_monomial(w, m).terms
+                for b in v:
+                    fresh = derive(w.datum, fresh, b)
+                assert state == fresh, (m, v)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "A3"])
+def test_diagonal_entry_is_checked_against_product_formula(label,
+                                                           monkeypatch):
+    # (E(m), F(m)) takes the reduced 1/(u_m f_m) of _normalizer_pair, with
+    # no gcd, only when the walk equals it; with a wrong formula the walk's
+    # own value comes back, reduced by gcd
+    gcds = [0]
+    gcd = qminor.scalars.laurent_gcd
+
+    def counting_gcd(a, b):
+        gcds[0] += 1
+        return gcd(a, b)
+
+    data = [(w, m) for w in standard_words(CartanDatum(label))
+            for block in _gram_blocks(w) for m in block]
+    want = [oracle_pairing_em_fn(w, m, m) for w, m in data]
+    monkeypatch.setattr(qminor.scalars, "laurent_gcd", counting_gcd)
+    assert [pairing_em_fn(w, m, m) for w, m in data] == want
+    assert gcds == [0]
+    right = qminor.pbw._normalizer_pair
+    monkeypatch.setattr(qminor.pbw, "_normalizer_pair", lambda w, m: (
+        right(w, m)[0] * LaurentPoly({0: 1, 1: 1}), right(w, m)[1]))
+    assert [pairing_em_fn(w, m, m) for w, m in data] == want
+    assert gcds[0] >= len(data) > 0
 
 
 _E_COEFFS = [RatScalar.one(), qp(-1, 2), qp(3), qp(-2, -1),
@@ -739,6 +843,28 @@ def test_straightening_builds_no_ratscalar_and_takes_no_gcd(label,
     # the counters count: one reduced RatScalar takes one gcd
     RatScalar(LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 1, 2: -1}))
     assert counts == {"RatScalar": 1, "laurent_gcd": 1}
+
+
+def test_normalizer_pair_is_laurent_and_builds_no_ratscalar(monkeypatch):
+    # f_m and u_m stay Laurent polynomials; dual_pbw_normalizer is the one
+    # place that wraps f_m in a RatScalar
+    count = [0]
+    init = RatScalar.__init__
+
+    def counting_init(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    data = [(w, m) for w in standard_words(A3)
+            for mu in weights_up_to(A3, 3) for m in data_of_weight(w, mu)]
+    monkeypatch.setattr(RatScalar, "__init__", counting_init)
+    pairs = [_normalizer_pair.__wrapped__(w, m) for w, m in data]
+    assert count == [0]
+    monkeypatch.undo()
+    for (w, m), (f, u) in zip(data, pairs):
+        assert isinstance(f, LaurentPoly) and isinstance(u, LaurentPoly)
+        assert (f, u) == _normalizer_pair(w, m)
+        assert dual_pbw_normalizer(w, m) == RatScalar.from_laurent(f)
 
 
 def _record_words():
