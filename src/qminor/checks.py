@@ -292,7 +292,17 @@ def _same_weight_flag_minors(wa, wt):
 def check_remark43(label="D4"):
     """D4: the flag minor of the prefix s_2 s_1 s_3 s_2 is compared with
     every flag minor of every orientation-adapted word.  No match is the
-    expected outcome; a match would be an open finding, not a bug."""
+    expected outcome; a match would be an open finding, not a bug.
+
+    Weight alone decides it, and the report says "decided_by": "weight"
+    when no candidate was compared: no adapted flag minor has the weight
+    (1,2,1,0) of this one.  Proof: the minor at k, i = i_k, has weight
+    varpi_i - s_{i_1} ... s_{i_k} varpi_i.  For the minuscule i = 1, 3, 4,
+    each weight varpi_i - mu of the orbit of varpi_i with mu_2 = 2 has
+    mu_1, mu_3, mu_4 >= 1.  For i = 2, in a quiver-adapted word each
+    neighbour 1, 3, 4 of 2 occurs once between two consecutive 2s, so
+    the coefficient of alpha_2 is 1 at the first 2 and, as
+    s_2 s_1 s_3 s_4 s_2 varpi_2 = varpi_2 - (1,3,1,1), at least 3 after."""
     datum = CartanDatum(label)
     if label != "D4":
         raise ValueError("remark43 is a D4 check, not %s" % label)
@@ -307,7 +317,7 @@ def check_remark43(label="D4"):
             candidates += 1
             if cf == target:
                 matches.append([o.render(), k])
-    return {
+    out = {
         "schema": 1,
         "type": "D4",
         "word": list(w.word),
@@ -318,6 +328,9 @@ def check_remark43(label="D4"):
         "ok": True,
         "open_finding": bool(matches),
     }
+    if not candidates:
+        out["decided_by"] = "weight"
+    return out
 
 
 def _report(label, failures, **extra):

@@ -7,25 +7,20 @@ The root vectors E_{beta_k} come from the Cartan-Weyl q-commutator rule
 in U_q(n) (_plain_root_vector); they are the braid root vectors
 q^(a_k) T_{i_1} ... T_{i_{k-1}}(E_{i_k}), which tests/braid_oracle.py
 evaluates in U_q(g) as their oracle.  Root vectors and PBW monomials are
-built once per (word, index or datum) as qea.PlainSums, plain-word sums
-over Z[q, q^-1] with one Laurent denominator, multiplied by concatenating
-words; root_vector, pbw_monomial and f_pbw_monomial are WordExpr views of
-them.  Coordinates of arbitrary elements are computed through the Hopf
-pairing against the mirrored F-side monomials F(m) (biorthogonality),
-never by word rewriting.  F(m) is E(m) pushed through the Chevalley
-involution omega (E_i <-> F_i, K_mu -> K_-mu) and scaled by a unit +-q^a
-(see f_pbw_monomial), so the cached plain sum of E(m) serves both sides.
-A pairing walks q-derivations of its E-side sum along the plain words of
-F(n) (qea._walk), keeping the state of every prefix it derives.  Each
-E(m) keeps its states in one dict per word and datum (_derivations), and
-each F(n) its words and its denominator, unit included (_f_side), so a
-Gram entry (E(m), F(n)) derives only the prefixes that no earlier F(n) of
-its weight brought to E(m); the one-off sums of pbw_coordinates and
-straighten_commutator share a fresh dict over the data they are paired
-with.  The dual PBW normalizers f_m come from Lusztig's product formula
-for (E(m), F(m)), and their units u_m in closed form from the root
-units, as Laurent polynomials; a diagonal Gram entry that the walk shows
-equal to 1/(u_m f_m) takes that reduced form with no gcd (pairing_em_fn).
+qea.PlainSums, plain-word sums over Z[q, q^-1] with one Laurent
+denominator, multiplied by concatenating words; root_vector,
+pbw_monomial and f_pbw_monomial are WordExpr views of them.
+Coordinates are computed through the Hopf pairing against the mirrored
+F-side monomials F(m) (biorthogonality), never by word rewriting; F(m)
+is E(m) pushed through the Chevalley involution omega and scaled by a
+unit +-q^a (f_pbw_monomial).  One record per word and checked datum
+(_pbw_record), grown from the datum one letter below, holds all that a
+pairing with E(m) or F(m) reads: E(m), its q-derivation states, F(m)'s
+denominator, and f_m and u_m of Lusztig's product formula.  A Gram entry
+(E(m), F(n)) walks the states of E(m) along the words of F(n)
+(qea._walk), deriving only prefixes that no earlier F(n) brought to
+E(m); a diagonal entry that the walk shows equal to 1/(u_m f_m) takes
+that reduced form with no gcd (pairing_em_fn).
 The straightening law of two dual root vectors E*_k = E(e_k)* is paired
 out once per pair, in dual-PBW coordinates over Z[q, q^-1], by exact
 division; canonical builds every product on it.  The integers of a datum
@@ -39,7 +34,7 @@ from functools import cache
 from operator import mul
 
 from .scalars import (LaurentPoly, RatScalar, ONE, InexactDivision,
-                      add_term, quantum_factorial, _exact_divide)
+                      add_term, quantum_integer, _exact_divide)
 from .rootdata import form, num_positive_roots, reduced_completion
 from .qea import PlainSum, plain_sums, _walk, _weight_factors
 
@@ -193,13 +188,9 @@ def render_datum(m):
 
 def pbw_monomial(w, m):
     """E(m) = E_{beta_1}^{(m_1)} ... E_{beta_N}^{(m_N)} as a UPlusExpr:
-    the WordExpr view of _plain_monomial, one object per checked datum."""
-    return _monomial_view(w, check_datum(w, m))
-
-
-@cache
-def _monomial_view(w, m):
-    return _plain_monomial(w, m).word_expr(w.datum)
+    the WordExpr view of the plain sum in the datum's record
+    (_pbw_record), one object per checked datum."""
+    return _view(w, check_datum(w, m), "E")
 
 
 def f_pbw_monomial(w, m):
@@ -227,37 +218,98 @@ def f_pbw_monomial(w, m):
     algebra automorphism (Jantzen, Lectures on Quantum Groups, 4.6), so
     it carries E(m) to the product of the omega(E_{beta_k})^{(m_k)}.
     The braid route stays in the tests as an oracle.  The view reads
-    the cached plain sum of E(m) (_plain_monomial) and scales it by the
-    unit (_f_unit).
+    the plain sum of E(m) and its unit in the datum's record
+    (_pbw_record), one object per checked datum.
     """
-    m = check_datum(w, m)
-    a, odd = _f_unit(w, m)
-    return _plain_monomial(w, m).word_expr(
-        w.datum, "F", LaurentPoly.q_power(a, -1 if odd else 1))
-
-
-def _f_unit(w, m):
-    """(a, odd) with F(m) = (-1)^odd q^a omega(E(m)) (f_pbw_monomial)."""
-    units = _root_units(w)
-    return (sum(c * ak for c, (ak, _) in zip(m, units)),
-            sum(c * hk for c, (_, hk) in zip(m, units)) % 2)
+    return _view(w, check_datum(w, m), "F")
 
 
 @cache
-def _plain_monomial(w, m):
-    """E(m) for a checked datum tuple m as a PlainSum with its terms in
-    lexicographic order: the root vectors concatenated, with
-    E_{beta_k}^{(c)} = E_{beta_k}^c / [c]_{beta_k}!, so the denominator
-    is prod_k den_k^{m_k} [m_k]!.  It serves the F side too: the plain
-    F-words of omega(E(m)) are its words (f_pbw_monomial)."""
-    out = PlainSum((0,) * w.datum.rank, {(): ONE})
-    for k, c in enumerate(m, start=1):
-        for _ in range(c):
-            out = out * _plain_root_vector(w, k)
+def _view(w, m, kind):
+    """A public view of the record of a checked datum m, one object each:
+    E(m) (kind "E") or F(m) (kind "F") as a WordExpr, read off the plain
+    sum of E(m), or f_m (kind "f") as a RatScalar."""
+    rec = _pbw_record(w, m)
+    if kind == "f":
+        return RatScalar.from_laurent(rec.f)
+    return rec.e.word_expr(w.datum, kind, rec.f_unit if kind == "F" else ONE)
+
+
+_PBW = namedtuple("_PBW", "e states f_den f u f_unit")
+
+
+@cache
+def _pbw_record(w, m):
+    """The PBW record of a checked datum tuple m on the word w, read by
+    every pairing with E(m) or F(m): e, E(m) as a PlainSum with its terms
+    in lexicographic order, whose words and numerators are also the plain
+    F-words of omega(E(m)) (f_pbw_monomial); states, the q-derivation
+    states D_v E(m) as the {prefix v: state} dict of qea._walk, from
+    {(): e.terms}, which every pairing_em_fn of E(m) fills in place, so a
+    prefix that several F(n) of the weight share is derived once; f_den,
+    den(E(m)) times the denominator of the generator factor of the
+    weight, over F(m)'s unit, so that (x, F(m)) = walk / (den(x) f_den)
+    with the unit one shift per datum, not a product per word; f and u,
+    the Laurent polynomials with 1/(E(m), F(m)) = u f; and f_unit,
+    F(m)'s unit prod_k ((-1)^(ht beta_k - 1) q^(a_k))^(m_k) = +-q^a with
+    F(m) = f_unit omega(E(m)) (f_pbw_monomial).
+
+    The record grows from the one of m- = m - e_k, k the last index with
+    m_k = c > 0: E(m) = E(m-) E_{beta_k} with den times [c]_{beta_k},
+    f_m = f_{m-} (1 - q^{c (beta_k, beta_k)}), u_m = u_{m-} u_k, and
+    f_unit times the unit of F_{beta_k}.  Proof that E(m) is the chain
+    of root vectors with one [m_k]! per factor
+    (tests/pbw_record_oracle.py), term for term and in order: no
+    factor after the k-th occurs in E(m), and E^(c) = E^(c-1) E / [c].
+    By induction the words of E(m-) carry the chain's numerators, and
+    the product appends the words of E_{beta_k} on the right, as the
+    chain's last step does, so each word of E(m) gets the same
+    left-to-right product of numerators; both sums are products of
+    lexicographically ordered sums, so ordered (qea.PlainSum); and
+    den(E(m-)) den(E_{beta_k}) [c] is the chain's prod_k den_k^(m_k)
+    [m_k]!, as [c-1]! [c] = [c]!.  f_m, u_m and f_unit are products over
+    the letters of m (below), with one factor for the letter added.  On a
+    cold cache the recursion is |m| deep, the height of the weight of m,
+    far below Python's recursion limit at any height whose data can be
+    enumerated.
+
+    Lusztig's product formula (Introduction to Quantum Groups, 38.2.3)
+    gives f_m = prod_k prod_{s=1..m_k} (1 - q^{s (beta_k, beta_k)}), so
+    f_m(0) = 1, and u_m = prod_k u_k^{m_k} with u_k =
+    1/((E_beta, F_beta) (1 - q^c)) = -q^{-c - 3 a_k} for beta = beta_k,
+    c = (beta, beta) and i = i_k.  Proof: with r = q^(a_k) (_root_units)
+    and E' = T_{i_1} ... T_{i_{k-1}}(E_i), E_beta = r E' (root_vector, by
+    its exhaustive equality with the braid chain of tests/braid_oracle.py)
+    and F_beta = (-1)^(ht beta - 1) r omega(E_beta) (f_pbw_monomial).  The
+    braid automorphisms preserve the form (x, omega(y)) on U^+ (Lusztig,
+    38.2.1; Jantzen, Lectures on Quantum Groups, 8.30) up to a sign; with
+    the T_i of that oracle (Jantzen, 8.14),
+    (E', omega(E')) = (-1)^(ht beta - 1) (E_i, F_i).
+    So (E_beta, F_beta) = r^3 (E_i, F_i) = r^3 / (1 - q^-c), as the Weyl
+    group keeps c = (alpha_i, alpha_i), and (1 - q^c)/(1 - q^-c) = -q^c.
+    The tests check u_k against the pairing.
+    """
+    k = len(m)
+    while k and not m[k - 1]:
+        k -= 1
+    if k:
+        c = m[k - 1]
+        below = _pbw_record(w, m[:k - 1] + (c - 1,) + m[k:])
+        e = below.e * _plain_root_vector(w, k)
+        norm = _root_norm(w, k)
         if c > 1:
-            out = PlainSum(out.weight, out.terms, out.den
-                           * quantum_factorial(c, _root_norm(w, k)))
-    return out
+            e = PlainSum(e.weight, e.terms,
+                         e.den * quantum_integer(c, norm))
+        a, h = _root_units(w)[k - 1]
+        f = below.f * LaurentPoly({0: 1, c * norm: -1})
+        u = -below.u.shift(-norm - 3 * a)
+        f_unit = below.f_unit * LaurentPoly.q_power(a, (-1) ** h)
+    else:
+        e, f = PlainSum((0,) * w.datum.rank, {(): ONE}), ONE
+        u = f_unit = ONE
+    ((a, sign),) = f_unit.coeffs.items()
+    den = (e.den * _weight_factors(w.datum, e.weight)[1]).shift(-a)
+    return _PBW(e, {(): e.terms}, den if sign > 0 else -den, f, u, f_unit)
 
 
 def _root_norm(w, k):
@@ -322,97 +374,36 @@ def _data_inside(w, k, kp):
 
 def pairing_em_fn(w, m, n):
     """(E(m), F(n)) through the Hopf pairing, as one reduced RatScalar:
-    E(m)'s cached derivation states (_derivations) walked along F(n)'s
-    cached words (_f_side).
+    the derivation states of E(m) walked along the words of F(n), both
+    read from their records (_pbw_record).
 
     The walk gives num/den.  On the diagonal it is compared with
-    Lusztig's product formula, 1/(u_m f_m) (_normalizer_pair), by the
-    exact identity num u_m f_m = den; when that holds, 1/(u_m f_m) is the
+    Lusztig's product formula, 1/(u_m f_m) of the record, by the exact
+    identity num u_m f_m = den; when that holds, 1/(u_m f_m) is the
     reduced fraction, as u_m = +-q^a and f_m(0) = 1, and no gcd is taken.
     Any other value is reduced by gcd, so a walk that disagrees with the
     formula is returned as it is."""
     m, n = check_datum(w, m), check_datum(w, n)
-    x = _plain_monomial(w, m)
-    weight, words, den = _f_side(w, n)
-    if x.weight != weight:
+    x, y = _pbw_record(w, m), _pbw_record(w, n)
+    if x.e.weight != y.e.weight:
         return RatScalar.zero()
-    num = _walk(w.datum, _derivations(w, m), words)
+    num = _walk(w.datum, x.states, y.e.terms.items())
     if num.is_zero():
         return RatScalar.zero()
-    den = x.den * den
-    if m == n:
-        f, u = _normalizer_pair(w, m)
-        if num * u * f == den:
-            ((a, sign),) = u.coeffs.items()
-            return RatScalar(LaurentPoly.q_power(-a, sign), f, _reduced=True)
+    den = x.e.den * y.f_den
+    if m == n and num * x.u * x.f == den:
+        ((a, sign),) = x.u.coeffs.items()
+        return RatScalar(LaurentPoly.q_power(-a, sign), x.f, _reduced=True)
     return RatScalar(num, den)
-
-
-@cache
-def _derivations(w, m):
-    """The derivation states D_v E(m) of a checked datum m, as the
-    {prefix v: state} dict of qea._walk, starting from {(): E(m)}.  Every
-    pairing_em_fn of E(m) fills it in place along the words of its F(n),
-    so a prefix that several F(n) of the weight share is derived once."""
-    return {(): _plain_monomial(w, m).terms}
-
-
-@cache
-def _f_side(w, n):
-    """(weight, words, den) of F(n) for a checked datum n, as every pairing
-    against it reads them: the (plain word, numerator) pairs of E(n),
-    which are the plain F-words of omega(E(n)) (f_pbw_monomial); and
-    den(E(n)) times the denominator of the generator factor of the weight,
-    divided by F(n)'s unit +-q^a (_f_unit), so that (x, F(n)) =
-    walk / (den(x) den).  The unit goes into den, a shift, once per datum:
-    scaling each numerator instead would cost a product per word on the
-    first pairing with F(n)."""
-    p = _plain_monomial(w, n)
-    a, odd = _f_unit(w, n)
-    den = (p.den * _weight_factors(w.datum, p.weight)[1]).shift(-a)
-    return p.weight, p.terms.items(), -den if odd else den
 
 
 def _pairing_f(x, w, n, scale, states):
     """scale (x, F(n)) for a PlainSum x of the weight of the checked datum
-    n, as the unreduced (num, den) = (scale walk, den(x) den), with the
-    words and den of F(n) from _f_side; states holds derivations of x
-    (qea._walk)."""
-    _, words, den = _f_side(w, n)
-    return _walk(w.datum, states, words) * scale, x.den * den
-
-
-@cache
-def _normalizer_pair(w, m):
-    """(f_m, u_m) with 1/(E(m), F(m)) = u_m f_m, as LaurentPolys; m is a
-    checked datum tuple.
-
-    Lusztig's product formula (Introduction to Quantum Groups, 38.2.3)
-    gives f_m = prod_k prod_{s=1..m_k} (1 - q^{s (beta_k, beta_k)}), so
-    f_m(0) = 1, and u_m = prod_k u_k^{m_k}, summed as ints, with u_k =
-    1/((E_beta, F_beta) (1 - q^c)) = -q^{-c - 3 a_k} for beta = beta_k,
-    c = (beta, beta) and i = i_k.  Proof: with r = q^(a_k) (_root_units)
-    and E' = T_{i_1} ... T_{i_{k-1}}(E_i), E_beta = r E' (root_vector, by
-    its exhaustive equality with the braid chain of tests/braid_oracle.py)
-    and F_beta = (-1)^(ht beta - 1) r omega(E_beta) (f_pbw_monomial).  The
-    braid automorphisms preserve the form (x, omega(y)) on U^+ (Lusztig,
-    38.2.1; Jantzen, Lectures on Quantum Groups, 8.30) up to a sign; with
-    the T_i of that oracle (Jantzen, 8.14),
-    (E', omega(E')) = (-1)^(ht beta - 1) (E_i, F_i).
-    So (E_beta, F_beta) = r^3 (E_i, F_i) = r^3 / (1 - q^-c), as the Weyl
-    group keeps c = (alpha_i, alpha_i), and (1 - q^c)/(1 - q^-c) = -q^c.
-    The tests check u_k against the pairing.
-    """
-    f = ONE
-    exp = count = 0
-    for k, c in enumerate(m, start=1):
-        if c:
-            norm = _root_norm(w, k)
-            for s in range(1, c + 1):
-                f = f * (ONE - LaurentPoly.q_power(s * norm))
-            exp -= c * (norm + 3 * _root_units(w)[k - 1][0])
-            count += c
-    return f, LaurentPoly.q_power(exp, -1 if count % 2 else 1)
+    n, as the unreduced (num, den) = (scale walk, den(x) f_den), with the
+    words and f_den of F(n) from its record (_pbw_record); states holds
+    derivations of x (qea._walk)."""
+    y = _pbw_record(w, n)
+    return _walk(w.datum, states, y.e.terms.items()) * scale, x.den * y.f_den
 
 
 def dual_pbw_normalizer(w, m):
@@ -421,21 +412,14 @@ def dual_pbw_normalizer(w, m):
     f_m is the product formula part of 1/(E(m), F(m)) = u_m f_m; with the
     unit u_m = +-q^a on the F side, (E(m)*, u_m F(m)) = 1.
     """
-    return _normalizer_view(w, check_datum(w, m))
-
-
-@cache
-def _normalizer_view(w, m):
-    """f_m of _normalizer_pair as a RatScalar, one object per checked
-    datum; nothing else wraps the pair."""
-    return RatScalar.from_laurent(_normalizer_pair(w, m)[0])
+    return _view(w, check_datum(w, m), "f")
 
 
 def _pbw_coordinate(x, w, m, states):
     """c_m = (x, F(m))/(E(m), F(m)) = (x, F(m)) f_m u_m for a PlainSum x
     of the weight of m, as the unreduced (num, den) of _pairing_f."""
-    f, u = _normalizer_pair(w, m)
-    return _pairing_f(x, w, m, f * u, states)
+    rec = _pbw_record(w, m)
+    return _pairing_f(x, w, m, rec.f * rec.u, states)
 
 
 def pbw_coordinates(x, w):
@@ -534,11 +518,10 @@ def straighten_commutator(w, k, kp):
             "coefficient of %s in E_%d E_%d of %s is %s, not q^%d"
             % (render_datum(lead), kp, k, w.render(),
                RatScalar(num, den).render(), -b))
-    scale = -_normalizer_pair(w, lead)[0].shift(b)
+    scale = -_pbw_record(w, lead).f.shift(b)
     out = {}
     for m in _data_inside(w, k, kp):
-        num, den = _pairing_f(x, w, m, scale * _normalizer_pair(w, m)[1],
-                              states)
+        num, den = _pairing_f(x, w, m, scale * _pbw_record(w, m).u, states)
         try:
             c = _exact_divide(num, den)
         except InexactDivision:

@@ -152,3 +152,7 @@ def test_remark43_report_shape():
     assert r["weight"] == [1, 2, 1, 0]
     assert r["ok"] is True
     assert isinstance(r["matches"], list)
+    # no adapted flag minor has the weight (1,2,1,0), by the lemma in the
+    # docstring of check_remark43, and the report says so
+    assert r["same_weight_candidates"] == 0
+    assert r["decided_by"] == "weight"

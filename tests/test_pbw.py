@@ -23,7 +23,7 @@ from qminor.pbw import (root_vector, pbw_monomial,
                         d_form, c_form, rlex_less, unit_datum,
                         straighten_commutator, ext_order, pbw_product,
                         weight_tuple, render_datum,
-                        _normalizer_pair, _root_table,
+                        _pbw_record, _root_table,
                         _root_norm, _root_units, _record,
                         NonLaurentStraightening, StraighteningError)
 from qminor.canonical import dual_pbw_element
@@ -36,6 +36,7 @@ from straightening_faults import (divide_straightening_by,
                                   double_leading_coefficient)
 from braid_oracle import (braid_T, braid_chain, braid_root_vector,
                           braid_f_root_vector)
+from pbw_record_oracle import record_differences
 from weight_oracle import frac_form, frac_weyl_act
 from word_product_oracle import (oracle_pairing_em_fn, oracle_pbw_coordinates,
                                  oracle_pbw_monomial, oracle_root_vector,
@@ -411,7 +412,8 @@ def _assert_normalizers_match_pairing(w, height):
     # E(m)* = f_m E(m) pairs to exactly 1 with the rescaled F(m).
     for mu in weights_up_to(w.datum, height):
         for m in data_of_weight(w, mu):
-            f, u = _normalizer_pair(w, m)
+            record = _pbw_record(w, m)
+            f, u = record.f, record.u
             assert RatScalar.one() / pairing_em_fn(w, m, m) == u * f, m
             assert pairing(pbw_monomial(w, m).scale(f),
                            f_pbw_monomial(w, m).scale(u)) == RatScalar.one()
@@ -452,7 +454,7 @@ def test_root_units_match_single_root_pairing(label):
         for k in range(1, N + 1):
             e = unit_datum(N, k)
             d = pairing_em_fn(w, e, e) * (ONE - qp(_root_norm(w, k)))
-            assert _normalizer_pair(w, e)[1] == RatScalar.one() / d, \
+            assert _pbw_record(w, e).u == RatScalar.one() / d, \
                 (w.word, k)
 
 
@@ -508,8 +510,7 @@ def _gram_blocks(w, height=3):
 
 
 def _clear_pairing_memos():
-    qminor.pbw._derivations.cache_clear()
-    qminor.pbw._f_side.cache_clear()
+    qminor.pbw._pbw_record.cache_clear()
 
 
 @settings(max_examples=60, deadline=None)
@@ -545,7 +546,7 @@ def test_gram_block_derives_each_prefix_once(w, monkeypatch):
     rng = random.Random(w.render())
     for block in _gram_blocks(w):
         prefixes = {v[:t] for n in block
-                    for v in qminor.pbw._plain_monomial(w, n).terms
+                    for v in qminor.pbw._pbw_record(w, n).e.terms
                     for t in range(len(v) + 1)}
         pairs = [(m, n) for m in block for n in block]
         rng.shuffle(pairs)
@@ -555,10 +556,10 @@ def test_gram_block_derives_each_prefix_once(w, monkeypatch):
             pairing_em_fn(w, m, n)
         assert len(calls) == len(block) * (len(prefixes) - 1), block
         for m in block:
-            states = qminor.pbw._derivations(w, m)
+            states = qminor.pbw._pbw_record(w, m).states
             assert set(states) == prefixes, m
             for v, state in states.items():
-                fresh = qminor.pbw._plain_monomial(w, m).terms
+                fresh = qminor.pbw._pbw_record(w, m).e.terms
                 for b in v:
                     fresh = derive(w.datum, fresh, b)
                 assert state == fresh, (m, v)
@@ -567,7 +568,7 @@ def test_gram_block_derives_each_prefix_once(w, monkeypatch):
 @pytest.mark.parametrize("label", ["A2", "B2", "A3"])
 def test_diagonal_entry_is_checked_against_product_formula(label,
                                                            monkeypatch):
-    # (E(m), F(m)) takes the reduced 1/(u_m f_m) of _normalizer_pair, with
+    # (E(m), F(m)) takes the reduced 1/(u_m f_m) of its record, with
     # no gcd, only when the walk equals it; with a wrong formula the walk's
     # own value comes back, reduced by gcd
     gcds = [0]
@@ -583,9 +584,9 @@ def test_diagonal_entry_is_checked_against_product_formula(label,
     monkeypatch.setattr(qminor.scalars, "laurent_gcd", counting_gcd)
     assert [pairing_em_fn(w, m, m) for w, m in data] == want
     assert gcds == [0]
-    right = qminor.pbw._normalizer_pair
-    monkeypatch.setattr(qminor.pbw, "_normalizer_pair", lambda w, m: (
-        right(w, m)[0] * LaurentPoly({0: 1, 1: 1}), right(w, m)[1]))
+    right = qminor.pbw._pbw_record
+    monkeypatch.setattr(qminor.pbw, "_pbw_record", lambda w, m: right(
+        w, m)._replace(f=right(w, m).f * LaurentPoly({0: 1, 1: 1})))
     assert [pairing_em_fn(w, m, m) for w, m in data] == want
     assert gcds[0] >= len(data) > 0
 
@@ -846,8 +847,9 @@ def test_straightening_builds_no_ratscalar_and_takes_no_gcd(label,
 
 
 def test_normalizer_pair_is_laurent_and_builds_no_ratscalar(monkeypatch):
-    # f_m and u_m stay Laurent polynomials; dual_pbw_normalizer is the one
-    # place that wraps f_m in a RatScalar
+    # f_m and u_m of each record stay Laurent polynomials, and building a
+    # record makes no RatScalar; dual_pbw_normalizer is the one place that
+    # wraps f_m in a RatScalar
     count = [0]
     init = RatScalar.__init__
 
@@ -858,13 +860,35 @@ def test_normalizer_pair_is_laurent_and_builds_no_ratscalar(monkeypatch):
     data = [(w, m) for w in standard_words(A3)
             for mu in weights_up_to(A3, 3) for m in data_of_weight(w, mu)]
     monkeypatch.setattr(RatScalar, "__init__", counting_init)
-    pairs = [_normalizer_pair.__wrapped__(w, m) for w, m in data]
+    records = [_pbw_record.__wrapped__(w, m) for w, m in data]
     assert count == [0]
     monkeypatch.undo()
-    for (w, m), (f, u) in zip(data, pairs):
+    for (w, m), record in zip(data, records):
+        f, u = record.f, record.u
         assert isinstance(f, LaurentPoly) and isinstance(u, LaurentPoly)
-        assert (f, u) == _normalizer_pair(w, m)
+        assert (f, u) == (_pbw_record(w, m).f, _pbw_record(w, m).u)
         assert dual_pbw_normalizer(w, m) == RatScalar.from_laurent(f)
+
+
+@pytest.mark.parametrize("label, height", [("A2", 4), ("B2", 4), ("A3", 4),
+                                           ("A4", 4), ("D4", 3)])
+def test_pbw_record_matches_from_scratch_oracles(label, height):
+    # every field of each PBW record against tests/pbw_record_oracle.py:
+    # the chain of root vectors with one [m_k]! per factor, term order
+    # included, and the product-formula loop, at every datum up to the
+    # height and 0, on every reduced word of A2, B2 and A3 and the
+    # standard and adapted words of A4 and D4.  The highest data come
+    # first after an emptied cache, so each grows down to 0 from cold.
+    datum = CartanDatum(label)
+    words = (all_reduced_words_for_w0(datum) if datum.rank <= 3
+             else _standard_and_adapted_words(datum))
+    for w in words:
+        data = [(0,) * len(w)] + [m for mu in weights_up_to(datum, height)
+                                  for m in data_of_weight(w, mu)]
+        _pbw_record.cache_clear()
+        for m in reversed(data):
+            assert record_differences(_pbw_record(w, m), w, m) == [], \
+                (w.word, m)
 
 
 def _record_words():

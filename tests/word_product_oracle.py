@@ -1,6 +1,6 @@
 """PBW root vectors, monomials, coordinates and straightening by WordExpr
 products over Q(q), kept as the test oracle of the plain-word sums of
-pbw (_plain_root_vector, _plain_monomial and the pairings on them).
+pbw (_plain_root_vector, the PBW records and the pairings on them).
 
 Every product here is WordExpr.__mul__: divided-power words, merged by
 canonicalize_word, with one reduced RatScalar per term.  The root vectors
@@ -12,12 +12,14 @@ WordExprs.  Nothing here reads a PlainSum that pbw built.
 
 from functools import cache
 
-from qminor.pbw import (StraighteningError, _data_of_weight, _normalizer_pair,
-                        _root_norm, _root_table, _root_units, check_datum,
-                        render_datum, weight_tuple)
+from qminor.pbw import (StraighteningError, _data_of_weight, _root_norm,
+                        _root_table, _root_units, check_datum, render_datum,
+                        weight_tuple)
 from qminor.qea import WordExpr, pairing
 from qminor.rootdata import num_positive_roots, reduced_completion
 from qminor.scalars import LaurentPoly, ONE, RatScalar, quantum_factorial
+
+from pbw_record_oracle import oracle_normalizer_pair
 
 
 @cache
@@ -75,7 +77,7 @@ def oracle_pairing_em_fn(w, m, n):
 
 def oracle_pbw_coordinate(x, w, m):
     """c_m = (x, F(m)) f_m u_m for a WordExpr x of the weight of m."""
-    f, u = _normalizer_pair(w, m)
+    f, u = oracle_normalizer_pair(w, m)
     return pairing(x, oracle_f_pbw_monomial(w, m)) * f * u
 
 
@@ -104,12 +106,12 @@ def oracle_straighten_commutator(w, k, kp):
         raise StraighteningError(
             "coefficient of %s in E_%d E_%d of %s is %s, not q^%d"
             % (render_datum(lead), kp, k, w.render(), lead_b.render(), -b))
-    scale = _normalizer_pair(w, lead)[0] * RatScalar.q_power(b, -1)
+    scale = oracle_normalizer_pair(w, lead)[0] * RatScalar.q_power(b, -1)
     out = {}
     for m in _data_of_weight(w, weight_tuple(w, lead)):
         if not any(m[:k]) and not any(m[kp - 1:]):
             c = scale * pairing(x, oracle_f_pbw_monomial(w, m)) * \
-                _normalizer_pair(w, m)[1]
+                oracle_normalizer_pair(w, m)[1]
             if not c.is_zero():
                 out[m] = c.as_laurent()
     return out
